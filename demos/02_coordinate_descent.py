@@ -24,9 +24,10 @@ print(f"kkt resid  : {res.kkt.residual_inf:.2e}")
 print(f"QPs solved : {res.qp_count}, total pivots: {res.pivot_count}")
 
 print("\n iter        t_i          g(t_i)    pivots")
-for k, ((t_i, g), piv) in enumerate(zip(res.trace, res.qp_pivots[1:]), 1):
+for k, ((t_i, g), piv) in enumerate(zip(res.trace, res.qp_pivots), 1):
     print(f"  {k:3d}  {t_i:12.8f}  {g:14.9f}  {piv:6d}")
-print("(the first LP solve took", res.qp_pivots[0], "pivots; the tail is nearly free)")
+print("(the LP relaxation that starts the run is a one-off HiGHS solve; after the")
+print(" first QP, warm-started from the LP basis, the tail is nearly free)")
 
 # monotonicity: start far below and far above the optimal scale
 lo = solve_cd(inst, CdOptions(t0=0.01 * res.t))

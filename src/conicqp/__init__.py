@@ -12,6 +12,7 @@ from .model import (
     ConicSolveResult,
     InfeasibleError,
     KktCertificate,
+    LpFailureError,
     Polyhedron,
     QuadraticForm,
     SolveStatus,
@@ -30,6 +31,7 @@ from .qp import (
     StartMode,
     WorkingBasis,
     reoptimize_after_bound_change,
+    solve_lp,
     solve_qp,
 )
 from .solvers import (
@@ -70,6 +72,7 @@ __all__ = [
     "GenSpec",
     "InfeasibleError",
     "KktCertificate",
+    "LpFailureError",
     "Polyhedron",
     "QpProblem",
     "QpSolution",
@@ -97,6 +100,7 @@ __all__ = [
     "solve_bisection",
     "solve_bnb",
     "solve_cd",
+    "solve_lp",
     "solve_qp",
     "subproblem_objective",
 ]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .bnb import BnbOptions, BnbStatus, solve_bnb
 from .generate import GenSpec, generate, load_instance, save_instance
-from .model import InfeasibleError, SolveStatus
+from .model import InfeasibleError, LpFailureError, SolveStatus
 from .solvers import BisectOptions, CdOptions, solve_bisection, solve_cd
 
 EXIT_OK = 0
@@ -192,7 +192,7 @@ def _bench_one(inst, path, method: str) -> BenchRecord | None:
                            else math.inf, solved=solved)
     try:
         res = solve_cd(inst) if method == "cd" else solve_bisection(inst)
-    except InfeasibleError:
+    except (InfeasibleError, LpFailureError):
         return BenchRecord(**base, method=method,
                            time_s=time.perf_counter() - start, qp_count=0,
                            pivot_count=0, nodes=0, objective=math.nan,
@@ -322,6 +322,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except LpFailureError as exc:
+        print(f"LP not solved: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

@@ -40,6 +40,11 @@ class InfeasibleError(RuntimeError):
     """Raised when a feasibility phase proves the constraint set empty."""
 
 
+class LpFailureError(RuntimeError):
+    """Raised when the LP solver stops with neither an optimal vertex nor a
+    proof of infeasibility (iteration limit, numerical trouble)."""
+
+
 @dataclass
 class QuadraticForm:
     """PSD matrix Q = F (H H') F' + diag(D), kept in factored form.

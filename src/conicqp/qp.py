@@ -16,9 +16,9 @@ Linear algebra: a dense LU factorization of the reduced KKT system for the
 working set at the last refactorization, bordered through a Schur
 complement for subsequent single working-set changes; the system is
 refactorized from scratch every 100 updates or when a growth monitor
-exceeds 1e8.  For pure LPs (sigma = 0) directions are projected negative
-gradients, obtained from the same KKT machinery with the identity standing
-in for the Hessian block.
+exceeds 1e8.  LPs (sigma = 0), Phase-1 included, are one-off cold solves
+in the HiGHS dual simplex (``solve_lp``), whose vertex and multipliers come
+back in the engine's conventions, ready to warm-start a QP.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
+from scipy.optimize import linprog
 
-from .model import InfeasibleError, Polyhedron, QuadraticForm
+from .model import InfeasibleError, LpFailureError, Polyhedron, QuadraticForm
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
@@ -306,13 +307,12 @@ class ActiveSetEngine:
         self.pivot_cap = pivot_cap if pivot_cap is not None else 50 * (self.n + self.m)
         self.track_objective = track_objective
         self.pinned = self.lower == self.upper
-        if self.sigma > 0:
-            q = problem.quad
-            self._W = q._W
-            self._D = q.D
-            self._Q_dense = q.dense_cache  # may be None; used when available
-        else:
-            self._Q_dense = None
+        if not self.sigma > 0:
+            raise ValueError("the active-set engine needs sigma > 0; use solve_lp")
+        q = problem.quad
+        self._W = q._W
+        self._D = q.D
+        self._Q_dense = q.dense_cache  # may be None; used when available
         self._h_sig = (self.sigma, id(problem.quad))
         # mutable per-solve state
         self.x = np.zeros(self.n)
@@ -330,12 +330,10 @@ class ActiveSetEngine:
         self._last_lam = np.zeros(self.m)
 
     # ------------------------------------------------------------------
-    # Hessian access for the KKT factorization (identity metric for LPs)
+    # Hessian access for the KKT factorization
     # ------------------------------------------------------------------
 
     def _hcol(self, j: int, idx: np.ndarray) -> np.ndarray:
-        if self.sigma == 0.0:
-            return (idx == j).astype(float)
         if self._Q_dense is not None:
             return self.sigma * self._Q_dense[idx, j]
         col = self._W[idx] @ self._W[j]
@@ -343,9 +341,7 @@ class ActiveSetEngine:
         return self.sigma * col
 
     def _hmatvec(self, v: np.ndarray) -> np.ndarray:
-        """sigma * Q @ v  (zero for LPs: the gradient is constant)."""
-        if self.sigma == 0.0:
-            return np.zeros(self.n)
+        """sigma * Q @ v."""
         if self._Q_dense is not None:
             return self.sigma * (self._Q_dense @ v)
         return self.sigma * (self._W @ (self._W.T @ v) + self._D * v)
@@ -444,8 +440,7 @@ class ActiveSetEngine:
         rows = self._kept_rows()
         self._ensure_row_rank(rows)
         free = self._free_idx()
-        if (self.sigma > 0 and self._Q_dense is None
-                and free.size >= max(64, self.n // 4)
+        if (self._Q_dense is None and free.size >= max(64, self.n // 4)
                 and self.n <= 4000):
             # large free sets assemble Hessian blocks much faster densely
             self._Q_dense = self.p.quad.dense()
@@ -509,9 +504,7 @@ class ActiveSetEngine:
                    validate: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """EQP step p and equality multipliers lam at the current working set.
 
-        Solves [[H_FF, A_F'], [A_F, 0]] [p; y] = [-d_F; eq_resid]; for
-        sigma = 0 the Hessian block is the identity, making p the projected
-        negative gradient.  lam = -y.
+        Solves [[H_FF, A_F'], [A_F, 0]] [p; y] = [-d_F; eq_resid]; lam = -y.
         """
         fac = self.factor
         rhs0 = np.zeros(fac.N0)
@@ -595,18 +588,9 @@ class ActiveSetEngine:
                 return QpStatus.ITER_LIMIT
             if not at_opt:
                 p, lam = self._direction_robust(d, validate=True)
-                free = self._free_idx()
-                pn = _inf(p[free])
-                if self.sigma == 0.0:
-                    near_zero = pn <= 0.5 * self.opt_tol * (1.0 + _inf(self.g))
-                else:
-                    near_zero = pn <= 1e-11 * (1.0 + _inf(self.x))
-                if not near_zero:
-                    alpha_cap = 1.0 if self.sigma > 0 else math.inf
+                if _inf(p[self._free_idx()]) > 1e-11 * (1.0 + _inf(self.x)):
                     alpha_max, blocker, side = self._ratio_test(p)
-                    alpha = min(alpha_cap, alpha_max)
-                    if not math.isfinite(alpha):
-                        raise _SingularKkt("unbounded direction with finite bounds")
+                    alpha = min(1.0, alpha_max)
                     if alpha > 0:
                         self.x += alpha * p
                         d += alpha * self._hmatvec(p)
@@ -614,12 +598,12 @@ class ActiveSetEngine:
                         if refresh >= 64:
                             d = self._gradient()
                             refresh = 0
-                    if alpha_max < alpha_cap:
+                    if alpha_max < 1.0:
                         self._fix_var(blocker, side)
                         self._count_pivot(("block", int(blocker), int(side)), alpha)
                         continue
-                    # full step with sigma > 0: x is now the EQP optimum and
-                    # lam from this solve certifies it
+                    # full step: x is now the EQP optimum and lam from this
+                    # solve certifies it
                     d = self._gradient()
                     refresh = 0
                 at_opt = True
@@ -724,54 +708,24 @@ class ActiveSetEngine:
         return "fallback"
 
     # ------------------------------------------------------------------
-    # Phase 1: minimize total equality violation with artificial variables
+    # Phase 1: a feasible vertex from a zero-objective LP
     # ------------------------------------------------------------------
 
     def _phase1(self):
+        """Project x onto its working set's bounds; if the equalities still
+        fail, restart from the vertex of a zero-objective LP.  Then factor."""
         np.clip(self.x, self.lower, self.upper, out=self.x)
         at_lo = self.status == AT_LOWER
         at_up = self.status == AT_UPPER
         self.x[at_lo] = self.lower[at_lo]
         self.x[at_up] = self.upper[at_up]
-        if self.m == 0:
-            return
         r0 = self.poly.b - self.A @ self.x
-        bscale = 1.0 + _inf(self.poly.b)
-        if _inf(r0) <= self.feas_tol * bscale:
-            return
-        self.used_phase1 = True
-        cap = 2.0 * max(_inf(r0), 1.0)
-        n, m = self.n, self.m
-        A_ext = np.hstack([self.A, np.eye(m), -np.eye(m)])
-        g_ext = np.concatenate([np.zeros(n), np.ones(2 * m)])
-        lower = np.concatenate([self.lower, np.zeros(2 * m)])
-        upper = np.concatenate([self.upper, np.full(2 * m, cap)])
-        poly = Polyhedron(A_ext, self.poly.b, lower, upper)
-        prob = QpProblem(linear=g_ext, quad=None, sigma=0.0, offset=0.0, poly=poly)
-        sub = ActiveSetEngine(prob, feas_tol=self.feas_tol, opt_tol=self.opt_tol,
-                              pivot_cap=max(self.pivot_cap, 50 * (n + 3 * m)))
-        sub.status = np.concatenate([
-            self.status,
-            np.full(m, BASIC, dtype=np.int8),          # s+ columns keep row rank
-            np.full(m, AT_LOWER, dtype=np.int8),
-        ])
-        sub.status[:n][self.pinned] = AT_LOWER
-        sm = np.maximum(-r0, 0.0)
-        sub.status[n + m:][sm > 0] = BASIC
-        sub.x = np.concatenate([self.x, np.maximum(r0, 0.0), sm])
-        sub._build_factor()
-        sub._primal_loop()
-        self.pivots += sub.pivots
-        self.pivot_log.extend(sub.pivot_log)
-        x_new = sub.x[:n]
-        resid = _inf(self.poly.b - self.A @ x_new)
-        if resid > self.feas_tol * bscale:
-            raise InfeasibleError(
-                f"phase-1 ended with equality residual {resid:.3e}"
-            )
-        self.x = x_new
-        self.status = sub.status[:n].copy()
-        self.status[self.pinned] = AT_LOWER
+        if _inf(r0) > self.feas_tol * (1.0 + _inf(self.poly.b)):
+            self.used_phase1 = True
+            lp = solve_lp(QpProblem(linear=np.zeros(self.n), quad=None,
+                                    sigma=0.0, offset=0.0, poly=self.poly))
+            self.x, self.status = lp.x, lp.basis.status
+        self._build_factor()
 
     # ------------------------------------------------------------------
     # Entry points
@@ -804,7 +758,6 @@ class ActiveSetEngine:
         """Make self.x primal feasible, repairing the warm basis if needed."""
         if warm is None:
             self._phase1()
-            self._build_factor()
             return
         bscale = 1.0 + _inf(self.poly.b)
         resid = self.poly.b - self.A @ self.x if self.m else np.zeros(0)
@@ -826,22 +779,19 @@ class ActiveSetEngine:
         except _SingularKkt:
             pass
         self._phase1()
-        self._build_factor()
 
     def solve(self, warm: WorkingBasis | None = None,
               mode: StartMode = StartMode.PRIMAL_START,
               warm_x: np.ndarray | None = None) -> QpSolution:
         self._normalize_basis(warm, warm_x)
         reuse = warm.factor_state if warm is not None else None
-        dual_ok = (mode == StartMode.DUAL_START and warm is not None
-                   and self.sigma > 0)
+        dual_ok = mode == StartMode.DUAL_START and warm is not None
         try:
             try:
                 if dual_ok:
                     self._build_factor(reuse)
                     if self._dual_loop() == "fallback":
                         self._phase1()
-                        self._build_factor()
                 else:
                     self._primal_feasibility(warm, reuse)
                 state = self._primal_loop()
@@ -851,7 +801,6 @@ class ActiveSetEngine:
                 self._rows_cache = None
                 self.factor = None
                 self._phase1()
-                self._build_factor()
                 state = self._primal_loop()
         except InfeasibleError:
             return self._package(np.zeros(self.m), QpStatus.INFEASIBLE)
@@ -887,20 +836,66 @@ class ActiveSetEngine:
         )
 
 
+def solve_lp(problem: QpProblem) -> QpSolution:
+    """Solve the LP min linear'x + offset over the polyhedron with HiGHS.
+
+    Runs the dual simplex of ``scipy.optimize.linprog``; the quadratic term
+    is ignored.  Multipliers follow the engine's convention ``linear - A'lam
+    - mu_lower + mu_upper = 0``.  The basis fixes a variable at the bound it
+    sits on unless its reduced cost is zero; those stay Basic with the
+    interior ones, so a degenerate vertex (a grid path sits entirely at 0
+    or 1) hands a warm QP a free set of full row rank.  Raises
+    ``InfeasibleError`` for an infeasible LP and ``LpFailureError`` when
+    HiGHS stops without an answer.
+    """
+    poly, c = problem.poly, problem.linear
+    # presolve costs more than it saves here: 0.12 s of 0.14 s on the
+    # one-row n=3200 cardinality LP, nothing on grid-path LPs
+    res = linprog(c, A_eq=poly.A, b_eq=poly.b, method="highs-ds",
+                  bounds=np.column_stack([poly.lower, poly.upper]),
+                  options={"primal_feasibility_tolerance": FEAS_TOL,
+                           "dual_feasibility_tolerance": OPT_TOL,
+                           "presolve": False})
+    if res.status == 2:
+        raise InfeasibleError(f"LP is infeasible: {res.message}")
+    if res.status != 0:
+        raise LpFailureError(f"HiGHS status {res.status}: {res.message}")
+    lam = res.eqlin.marginals
+    # under a zero objective every reduced cost is zero and says nothing
+    free = (np.abs(c - poly.A.T @ lam) <= 1e-9 * (1.0 + _inf(c))) & c.any()
+    x = np.clip(res.x, poly.lower, poly.upper)
+    tol = FEAS_TOL * (1.0 + _inf(x))
+    status = np.full(poly.n, BASIC, dtype=np.int8)
+    status[~free & (poly.upper - x <= tol)] = AT_UPPER
+    status[~free & (x - poly.lower <= tol)] = AT_LOWER
+    status[poly.lower == poly.upper] = AT_LOWER
+    at_lo, at_up = status == AT_LOWER, status == AT_UPPER
+    x[at_lo], x[at_up] = poly.lower[at_lo], poly.upper[at_up]
+    return QpSolution(
+        x=x, lam=lam, mu_lower=res.lower.marginals, mu_upper=-res.upper.marginals,
+        objective=problem.objective(x), basis=WorkingBasis(status),
+        iterations=int(res.nit), status=QpStatus.OPTIMAL)
+
+
 def solve_qp(problem: QpProblem, warm: WorkingBasis | None = None,
              mode: StartMode = StartMode.PRIMAL_START,
              warm_x: np.ndarray | None = None,
              pivot_cap: int | None = None,
              track_objective: bool = False) -> QpSolution:
-    """Solve a convex QP or LP over {Ax = b, l <= x <= u}.
+    """Solve a convex QP over {Ax = b, l <= x <= u} with the active-set engine.
 
     ``warm`` carries the variable statuses of a related solve.  PrimalStart
     restores primal feasibility first (bound projection, then Phase-1 if
     necessary); DualStart treats the basis as dual feasible and fixes
     bound-violating variables until primal feasible, which is the cheap
-    restart after tightening bounds.  Cold starts run Phase-1 and then the
-    primal loop.
+    restart after tightening bounds.  Cold starts take a Phase-1 vertex
+    and then run the primal loop.  LPs (sigma = 0) go to ``solve_lp``,
+    which solves cold, ignores the warm-start and pivot arguments, and
+    raises where the engine returns a status.  A Phase-1 LP that HiGHS
+    leaves unsolved raises ``LpFailureError``.
     """
+    if problem.sigma == 0:
+        return solve_lp(problem)
     eng = ActiveSetEngine(problem, pivot_cap=pivot_cap,
                           track_objective=track_objective)
     return eng.solve(warm, mode, warm_x)

@@ -12,7 +12,10 @@ Two drivers share the QP engine:
 
 Both report a KKT certificate for the conic problem, with the dual
 feasibility estimate qp_eps + (|dt|/t) * ||grad f||_inf as the convergence
-measure.
+measure.  Both start, unless given a starting t, from the LP relaxation,
+which HiGHS solves once (``solve_lp``); ``qp_count``, ``qp_pivots``,
+``pivot_count`` and ``phase1_count`` count the engine's QPs only.  An LP
+that HiGHS leaves without an optimal vertex raises ``LpFailureError``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .model import (
     kkt_residual,
     subproblem_objective,
 )
-from .qp import QpSolution, QpStatus, StartMode, WorkingBasis, solve_qp
+from .qp import QpSolution, QpStatus, StartMode, WorkingBasis, solve_lp, solve_qp
 
 T_FLOOR = 1e-10
 
@@ -74,10 +77,8 @@ class BisectOptions:
 
 
 def _lp_relaxation(inst: ConicInstance) -> QpSolution:
-    sol = solve_qp(subproblem_objective(inst, math.inf))
-    if sol.status == QpStatus.INFEASIBLE:
-        raise InfeasibleError("LP relaxation is infeasible")
-    return sol
+    """Optimal LP vertex (t -> inf), solved by HiGHS and not counted as a QP."""
+    return solve_lp(subproblem_objective(inst, math.inf))
 
 
 def init_tmax_from_lp(inst: ConicInstance) -> tuple[float, WorkingBasis]:
@@ -127,18 +128,12 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
         mode = StartMode.DUAL_START
     elif opt.t0 is None:
         lp = _lp_relaxation(inst)
-        qp_count += 1
-        qp_pivots.append(lp.iterations)
-        phase1_count += int(lp.used_phase1)
-        first_qp_phase1 = lp.used_phase1
         t_lp = math.sqrt(max(inst.q.quad(lp.x), 0.0))
         if t_lp < opt.t_floor:
             return ConicSolveResult(
                 x=lp.x, t=t_lp, objective=eval_objective(inst, lp.x),
-                kkt=None, qp_count=qp_count, pivot_count=lp.iterations,
-                trace=trace, status=SolveStatus.T_ZERO, stop_reason="t_zero",
-                qp_pivots=qp_pivots, phase1_count=phase1_count,
-                first_qp_used_phase1=first_qp_phase1, basis=lp.basis,
+                kkt=None, qp_count=0, pivot_count=0, trace=trace,
+                status=SolveStatus.T_ZERO, stop_reason="t_zero", basis=lp.basis,
             )
         t_i = t_lp
         prev = lp
@@ -243,10 +238,6 @@ def solve_bisection(inst: ConicInstance,
 
     if opt.t_max0 is None:
         lp = _lp_relaxation(inst)
-        qp_count += 1
-        qp_pivots.append(lp.iterations)
-        phase1_count += int(lp.used_phase1)
-        first_qp_phase1 = lp.used_phase1
         t_max = math.sqrt(max(inst.q.quad(lp.x), 0.0))
         x_high_side = lp.x  # the LP optimum plays x(t) for arbitrarily large t
         incumbent_x, incumbent_sol = lp.x, lp

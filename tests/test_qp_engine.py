@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import conicqp.qp
 from conicqp import (
+    LpFailureError,
     Polyhedron,
     QpProblem,
     QpStatus,
@@ -84,6 +87,38 @@ class TestExamples:
         p = random_problem(rng, n=8, m=2)
         s = solve_qp(p, pivot_cap=1)
         assert s.status in (QpStatus.ITER_LIMIT, QpStatus.OPTIMAL)
+
+
+class TestLp:
+    def test_enumeration_oracle_and_multipliers(self):
+        rng = np.random.default_rng(55)
+        worst_stat = worst_comp = 0.0
+        for _ in range(200):
+            p = random_problem(rng, n=int(rng.integers(1, 7)), sigma=0.0)
+            s = solve_qp(p)
+            assert s.status == QpStatus.OPTIMAL
+            _, ref = enumerate_tiny_qp(p)
+            assert abs(s.objective - ref) <= 1e-9 * (1 + abs(ref))
+            gap_lo = s.mu_lower * (s.x - p.poly.lower)
+            gap_up = s.mu_upper * (p.poly.upper - s.x)
+            worst_stat = max(worst_stat, stationarity(p, s))
+            worst_comp = max(worst_comp, np.max(np.abs(gap_lo), initial=0.0),
+                             np.max(np.abs(gap_up), initial=0.0))
+        assert worst_stat <= 1e-9
+        assert worst_comp <= 1e-7
+
+    def test_highs_without_answer_raises(self, monkeypatch):
+        monkeypatch.setattr(conicqp.qp, "linprog", lambda *a, **k: OptimizeResult(
+            status=1, message="Iteration limit reached.", x=None, nit=1))
+        lp = QpProblem(linear=np.array([1.0, 2.0]), quad=identity_form(2),
+                       sigma=0.0, offset=0.0, poly=simplex_poly())
+        with pytest.raises(LpFailureError):
+            solve_qp(lp)
+        # a cold QP needs a Phase-1 vertex from the same LP solver
+        qp = QpProblem(linear=np.zeros(2), quad=identity_form(2), sigma=1.0,
+                       offset=0.0, poly=simplex_poly())
+        with pytest.raises(LpFailureError):
+            solve_qp(qp)
 
 
 class TestWarmStarts:

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import conicqp.qp
 from conicqp import (
     BisectOptions,
     CdOptions,
     ConicInstance,
     InfeasibleError,
+    LpFailureError,
     Polyhedron,
     QuadraticForm,
     SolveStatus,
@@ -19,6 +22,7 @@ from conicqp import (
     solve_cd,
 )
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path
+from conicqp.qp import BASIC
 
 from oracles import golden_section_g
 
@@ -135,6 +139,28 @@ class TestInitTmax:
         inst = simplex_instance(c=(1.0, 2.0))
         t_max, basis = init_tmax_from_lp(inst)
         assert t_max == pytest.approx(1.0, abs=1e-9)
+
+    def test_degenerate_grid_vertex_hands_off_full_rank_free_set(self):
+        # every arc of an LP path sits at 0 or 1; the zero-reduced-cost arcs
+        # must stay Basic so the first QP starts from a full-rank free set
+        for grid in ((6, 6), (8, 8)):
+            inst = seeded(4, family="gridpath", grid=grid)
+            _, basis = init_tmax_from_lp(inst)
+            free = basis.status == BASIC
+            assert free.sum() >= inst.poly.m
+            assert np.linalg.matrix_rank(inst.poly.A[:, free]) == inst.poly.m
+
+    @pytest.mark.parametrize("status, error", [(1, LpFailureError),
+                                               (4, LpFailureError),
+                                               (2, InfeasibleError)])
+    def test_lp_without_optimal_vertex_is_never_optimal(self, monkeypatch,
+                                                        status, error):
+        monkeypatch.setattr(conicqp.qp, "linprog", lambda *a, **k: OptimizeResult(
+            status=status, message="forced", x=None, nit=7))
+        inst = seeded(5)
+        for driver in (solve_cd, solve_bisection):
+            with pytest.raises(error):
+                driver(inst)
 
     def test_bounds_optimal_t_on_seeded_instances(self):
         for seed in range(8):
