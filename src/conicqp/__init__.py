@@ -42,7 +42,6 @@ from .solvers import (
     solve_cd,
 )
 from .bnb import (
-    BnbNode,
     BnbOptions,
     BnbResult,
     BnbStatus,
@@ -62,7 +61,6 @@ from .generate import (
 
 __all__ = [
     "BisectOptions",
-    "BnbNode",
     "BnbOptions",
     "BnbResult",
     "BnbStatus",

@@ -16,7 +16,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -35,6 +35,7 @@ class BnbStatus(Enum):
     OPTIMAL = "Optimal"
     GAP_REACHED = "GapReached"
     TIME_LIMIT = "TimeLimit"
+    INFEASIBLE = "Infeasible"
 
 
 @dataclass
@@ -55,7 +56,6 @@ class BnbOptions:
     time_limit: float | None = None
     node_limit: int | None = None
     use_warm_starts: bool = True
-    cd_options: CdOptions | None = None
     log_stride: int = 0
     log_fn: object = print
 
@@ -138,13 +138,13 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
     """Best-bound branch-and-bound with child-first dives and dual warm starts.
 
     Terminates when (ub - lb_best) / |lb_best + 1e-10| <= gap_tol, when the
-    node list empties, or when a time/node limit trips (status TimeLimit
-    with the gap at that point).
+    node list empties (status Infeasible if no node gave an integral
+    point), or when a time/node limit trips (status TimeLimit with the gap
+    at that point).
     """
     opts = opts or BnbOptions()
     if not inst.integer_vars:
         raise ValueError("instance has no integer variables")
-    cd_opts = opts.cd_options or _NODE_CD
     start = time.monotonic()
 
     ub = math.inf
@@ -188,7 +188,7 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
         if opts.use_warm_starts and node.basis is not None:
             warm = (node.basis, node.t_parent)
         try:
-            res = solve_cd(sub, cd_opts, warm=warm)
+            res = solve_cd(sub, _NODE_CD, warm=warm)
         except InfeasibleError as err:
             nodes += 1
             infeasible_nodes += 1
@@ -241,13 +241,10 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
             next_node, sibling = child_ge, child_le
         heapq.heappush(heap, (sibling.lb, next(counter), sibling))
 
-    best_bound = open_bound() if (heap or next_node is not None) else ub
-    if status == BnbStatus.TIME_LIMIT:
-        pass
-    elif not heap and next_node is None:
-        status = BnbStatus.OPTIMAL
-        best_bound = ub
-    egap = _egap(ub, best_bound) if math.isfinite(ub) else math.inf
+    best_bound = open_bound()
+    if status == BnbStatus.OPTIMAL and x_star is None:
+        status = BnbStatus.INFEASIBLE
+    egap = _egap(ub, best_bound)
     if status == BnbStatus.OPTIMAL:
         egap = 0.0
     return BnbResult(

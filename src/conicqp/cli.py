@@ -66,16 +66,40 @@ def _write_csv(path: str, records: list[BenchRecord]):
             w.writerow(rec.row())
 
 
-def _instance_fields(inst, path) -> dict:
+_METHODS = {"cd": solve_cd, "bisect": solve_bisection, "bnb-cd": solve_bnb}
+_SOLVED = (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED,
+           SolveStatus.T_ZERO, BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
+
+
+def _record(inst, path, method: str, time_s: float, res=None) -> BenchRecord:
+    """The CSV row of one run; ``res`` is None for a run that raised."""
     meta = inst.meta or {}
-    return {
-        "instance": Path(path).name,
-        "family": meta.get("family", "custom"),
-        "n": inst.n,
-        "r": int(meta.get("r", inst.q.r)),
-        "alpha": float(meta.get("alpha", math.nan)),
-        "omega": inst.omega,
-    }
+    if res is None:
+        run = dict(qp_count=0, pivot_count=0, nodes=0, objective=math.nan,
+                   kkt_residual=math.nan, egap=math.inf, solved=False)
+    elif method == "bnb-cd":
+        run = dict(qp_count=res.qp_count, pivot_count=res.pivot_count,
+                   nodes=res.nodes_processed, objective=res.incumbent_obj,
+                   kkt_residual=math.nan, egap=100.0 * res.egap,
+                   solved=res.status in _SOLVED)
+    else:
+        run = dict(qp_count=res.qp_count, pivot_count=res.pivot_count, nodes=0,
+                   objective=res.objective,
+                   kkt_residual=(res.kkt.residual_inf if res.kkt is not None
+                                 else math.nan),
+                   egap=0.0, solved=res.status in _SOLVED)
+    return BenchRecord(
+        instance=Path(path).name, family=meta.get("family", "custom"),
+        n=inst.n, r=int(meta.get("r", inst.q.r)),
+        alpha=float(meta.get("alpha", math.nan)), omega=inst.omega,
+        method=method, time_s=time_s, **run)
+
+
+def _run(inst, path, method: str, opts=None) -> tuple[object, BenchRecord]:
+    """Run one method (a key of ``_METHODS``); return its result and record."""
+    start = time.perf_counter()
+    res = _METHODS[method](inst, opts)
+    return res, _record(inst, path, method, time.perf_counter() - start, res)
 
 
 def cmd_gen(args) -> int:
@@ -106,39 +130,28 @@ def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     t0_opt = None if args.t0 == "lp" else float(args.t0)
     eps = min(1e-9, 0.1 * args.tol)
-    start = time.perf_counter()
+    if args.alg == "cd":
+        opts = CdOptions(t0=t0_opt, delta=args.tol, qp_eps=eps)
+    else:
+        opts = BisectOptions(delta=args.tol, qp_eps=eps)
     try:
-        if args.alg == "cd":
-            res = solve_cd(inst, CdOptions(t0=t0_opt, delta=args.tol,
-                                           qp_eps=eps))
-        else:
-            res = solve_bisection(inst, BisectOptions(delta=args.tol,
-                                                      qp_eps=eps))
+        res, rec = _run(inst, args.instance, args.alg, opts)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    elapsed = time.perf_counter() - start
-    solved = res.status in (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED,
-                            SolveStatus.T_ZERO)
-    resid = res.kkt.residual_inf if res.kkt is not None else math.nan
     print(f"objective     {res.objective:.12g}")
     print(f"t             {res.t:.12g}")
-    print(f"kkt_residual  {resid:.3e}")
+    print(f"kkt_residual  {rec.kkt_residual:.3e}")
     print(f"qp_count      {res.qp_count}")
     print(f"pivot_count   {res.pivot_count}")
-    print(f"time_s        {elapsed:.4f}")
+    print(f"time_s        {rec.time_s:.4f}")
     print(f"status        {res.status.value} ({res.stop_reason})")
     if args.reference is not None:
         optgap = abs((args.reference - res.objective) / args.reference)
         print(f"optgap        {optgap:.3e}")
     if args.csv:
-        rec = BenchRecord(**_instance_fields(inst, args.instance),
-                          method=args.alg, time_s=elapsed,
-                          qp_count=res.qp_count, pivot_count=res.pivot_count,
-                          nodes=0, objective=res.objective, kkt_residual=resid,
-                          egap=0.0, solved=solved)
         _write_csv(args.csv, [rec])
-    return EXIT_OK if solved else EXIT_LIMIT
+    return EXIT_OK if rec.solved else EXIT_LIMIT
 
 
 def cmd_bnb(args) -> int:
@@ -148,63 +161,33 @@ def cmd_bnb(args) -> int:
         return EXIT_USAGE
     opts = BnbOptions(gap_tol=args.gap, time_limit=args.time_limit,
                       node_limit=args.node_limit, log_stride=args.log_stride)
-    start = time.perf_counter()
-    res = solve_bnb(inst, opts)
-    elapsed = time.perf_counter() - start
-    solved = res.status in (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
-    egap_pct = 100.0 * res.egap if math.isfinite(res.egap) else math.inf
+    res, rec = _run(inst, args.instance, "bnb-cd", opts)
     print(f"objective     {res.incumbent_obj:.12g}")
     print(f"best_bound    {res.best_bound:.12g}")
     print(f"nodes         {res.nodes_processed}")
-    print(f"egap_pct      {egap_pct:.4g}")
+    print(f"egap_pct      {rec.egap:.4g}")
     print(f"qp_count      {res.qp_count}")
     print(f"pivot_count   {res.pivot_count}")
     print(f"warm_accepts  {res.warm_accepts}")
     print(f"warm_repairs  {res.warm_repairs}")
-    print(f"time_s        {elapsed:.4f}")
+    print(f"time_s        {rec.time_s:.4f}")
     print(f"status        {res.status.value}")
-    print(f"solved        {solved}")
+    print(f"solved        {rec.solved}")
     if args.csv:
-        rec = BenchRecord(**_instance_fields(inst, args.instance),
-                          method="bnb-cd", time_s=elapsed,
-                          qp_count=res.qp_count, pivot_count=res.pivot_count,
-                          nodes=res.nodes_processed,
-                          objective=res.incumbent_obj,
-                          kkt_residual=math.nan, egap=egap_pct, solved=solved)
         _write_csv(args.csv, [rec])
-    return EXIT_OK if solved else EXIT_LIMIT
+    if res.status == BnbStatus.INFEASIBLE:
+        return EXIT_INFEASIBLE
+    return EXIT_OK if rec.solved else EXIT_LIMIT
 
 
 def _bench_one(inst, path, method: str) -> BenchRecord | None:
-    base = _instance_fields(inst, path)
+    if method == "bnb-cd" and not inst.integer_vars:
+        return None
     start = time.perf_counter()
-    if method == "bnb-cd":
-        if not inst.integer_vars:
-            return None
-        res = solve_bnb(inst)
-        elapsed = time.perf_counter() - start
-        solved = res.status in (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
-        return BenchRecord(**base, method=method, time_s=elapsed,
-                           qp_count=res.qp_count, pivot_count=res.pivot_count,
-                           nodes=res.nodes_processed,
-                           objective=res.incumbent_obj, kkt_residual=math.nan,
-                           egap=100.0 * res.egap if math.isfinite(res.egap)
-                           else math.inf, solved=solved)
     try:
-        res = solve_cd(inst) if method == "cd" else solve_bisection(inst)
+        return _run(inst, path, method)[1]
     except (InfeasibleError, LpFailureError):
-        return BenchRecord(**base, method=method,
-                           time_s=time.perf_counter() - start, qp_count=0,
-                           pivot_count=0, nodes=0, objective=math.nan,
-                           kkt_residual=math.nan, egap=math.inf, solved=False)
-    elapsed = time.perf_counter() - start
-    solved = res.status in (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED,
-                            SolveStatus.T_ZERO)
-    resid = res.kkt.residual_inf if res.kkt is not None else math.nan
-    return BenchRecord(**base, method=method, time_s=elapsed,
-                       qp_count=res.qp_count, pivot_count=res.pivot_count,
-                       nodes=0, objective=res.objective, kkt_residual=resid,
-                       egap=0.0, solved=solved)
+        return _record(inst, path, method, time.perf_counter() - start)
 
 
 def cmd_bench(args) -> int:
@@ -214,7 +197,7 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in ("cd", "bisect", "bnb-cd"):
+        if m not in _METHODS:
             print(f"error: unknown method {m!r}", file=sys.stderr)
             return EXIT_USAGE
     records: list[BenchRecord] = []

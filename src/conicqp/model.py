@@ -111,15 +111,6 @@ class QuadraticForm:
             return q
         return self.dense_cache
 
-    def submatrix(self, idx: np.ndarray) -> np.ndarray:
-        """Q[idx][:, idx] without forming the full dense matrix."""
-        if self.dense_cache is not None:
-            return self.dense_cache[np.ix_(idx, idx)]
-        w = self._W[idx]
-        sub = w @ w.T
-        sub[np.diag_indices_from(sub)] += self.D[idx]
-        return sub
-
     def diagonal(self) -> np.ndarray:
         """diag(Q) = row norms of W squared plus D."""
         return np.einsum("ij,ij->i", self._W, self._W) + self.D
@@ -172,9 +163,6 @@ class Polyhedron:
             np.all(x >= self.lower - tol * bscale)
             and np.all(x <= self.upper + tol * bscale)
         )
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
 
 
 @dataclass

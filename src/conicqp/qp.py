@@ -97,17 +97,13 @@ class QpProblem:
 class WorkingBasis:
     """Variable partition carried between QPs and between search-tree nodes.
 
-    ``factor_state`` is an opaque handle to the KKT factorization left by the
-    solve that produced this basis; a follow-up solve with the same Hessian
-    scale may border off it instead of refactorizing.  It is never
-    serialized and may be None.
+    ``status`` tags each variable BASIC, AT_LOWER or AT_UPPER.  It is all a
+    warm start hands over besides the point: the receiving solve builds its
+    own KKT factorization for the free set, since the Hessian scale
+    ``sigma = omega/t`` differs from one QP to the next.
     """
 
     status: np.ndarray
-    factor_state: object | None = field(default=None, repr=False, compare=False)
-
-    def copy(self) -> "WorkingBasis":
-        return WorkingBasis(self.status.copy(), self.factor_state)
 
 
 @dataclass
@@ -135,12 +131,11 @@ class _KktFactor:
     through the Schur complement of the border block.
     """
 
-    def __init__(self, hcol, A, rows, base_free, h_sig):
+    def __init__(self, hcol, A, rows, base_free):
         self.hcol = hcol  # hcol(j, idx) -> H[idx, j] for the current Hessian
         self.A = A
         self.rows = np.asarray(rows, dtype=int)
         self.base_free = np.asarray(base_free, dtype=int)
-        self.h_sig = h_sig
         self.pos = {int(j): i for i, j in enumerate(self.base_free)}
         nb, mr = len(self.base_free), len(self.rows)
         self.nb, self.mr, self.N0 = nb, mr, nb + mr
@@ -170,22 +165,6 @@ class _KktFactor:
     def _hbase(self) -> np.ndarray:
         cols = [self.hcol(int(j), self.base_free) for j in self.base_free]
         return np.column_stack(cols) if cols else np.zeros((0, 0))
-
-    def clone(self, hcol) -> "_KktFactor":
-        """Copy sharing the immutable base LU; border data is duplicated."""
-        c = object.__new__(_KktFactor)
-        c.hcol, c.A, c.rows = hcol, self.A, self.rows
-        c.base_free, c.pos, c.h_sig = self.base_free, self.pos, self.h_sig
-        c.nb, c.mr, c.N0 = self.nb, self.mr, self.N0
-        c.K0, c.lu = self.K0, self.lu
-        c.border = list(self.border)
-        c.B = self.B.copy()
-        c.Y = self.Y.copy()
-        c.C = self.C.copy()
-        c._s_lu = None
-        c.updates = self.updates
-        c.needs_refactor = self.needs_refactor
-        return c
 
     def _k0_solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.N0 == 0:
@@ -292,8 +271,7 @@ class ActiveSetEngine:
     bases, and solutions are plain data and may be shared freely.
     """
 
-    def __init__(self, problem: QpProblem, feas_tol: float = FEAS_TOL,
-                 opt_tol: float = OPT_TOL, pivot_cap: int | None = None,
+    def __init__(self, problem: QpProblem, pivot_cap: int | None = None,
                  track_objective: bool = False):
         self.p = problem
         self.poly = problem.poly
@@ -302,8 +280,6 @@ class ActiveSetEngine:
         self.lower, self.upper = self.poly.lower, self.poly.upper
         self.g = problem.linear
         self.sigma = problem.sigma
-        self.feas_tol = feas_tol
-        self.opt_tol = opt_tol
         self.pivot_cap = pivot_cap if pivot_cap is not None else 50 * (self.n + self.m)
         self.track_objective = track_objective
         self.pinned = self.lower == self.upper
@@ -313,7 +289,6 @@ class ActiveSetEngine:
         self._W = q._W
         self._D = q.D
         self._Q_dense = q.dense_cache  # may be None; used when available
-        self._h_sig = (self.sigma, id(problem.quad))
         # mutable per-solve state
         self.x = np.zeros(self.n)
         self.status = np.full(self.n, AT_LOWER, dtype=np.int8)
@@ -436,7 +411,7 @@ class ActiveSetEngine:
             rank += 1
             candidates = candidates[candidates != j]
 
-    def _build_factor(self, reuse: object | None = None):
+    def _build_factor(self):
         rows = self._kept_rows()
         self._ensure_row_rank(rows)
         free = self._free_idx()
@@ -444,40 +419,7 @@ class ActiveSetEngine:
                 and self.n <= 4000):
             # large free sets assemble Hessian blocks much faster densely
             self._Q_dense = self.p.quad.dense()
-        if reuse is not None and isinstance(reuse, _KktFactor):
-            adapted = self._adapt_factor(reuse, rows)
-            if adapted is not None:
-                self.factor = adapted
-                return
-        self.factor = _KktFactor(self._hcol, self.A, rows, free, self._h_sig)
-
-    def _adapt_factor(self, cached: _KktFactor, rows) -> _KktFactor | None:
-        """Border a cached factorization toward the current working set."""
-        if (cached.needs_refactor or cached.h_sig != self._h_sig
-                or not np.array_equal(cached.rows, rows)):
-            return None
-        fac = cached.clone(self._hcol)
-        current = {int(j) for j in self._free_idx()}
-        cached_free = {int(j) for j in fac.base_free}
-        for kind, j in fac.border:
-            if kind == "free":
-                cached_free.add(j)
-            else:
-                cached_free.discard(j)
-        to_fix = sorted(cached_free - current)
-        to_free = sorted(current - cached_free)
-        if len(to_fix) + len(to_free) > 20:
-            return None
-        try:
-            for j in to_fix:
-                if j not in fac.pos and ("free", j) not in fac.border:
-                    return None
-                fac.fix(j)
-            for j in to_free:
-                fac.free(j)
-        except _SingularKkt:
-            return None
-        return None if fac.needs_refactor else fac
+        self.factor = _KktFactor(self._hcol, self.A, rows, free)
 
     def _refactor(self):
         self.factor = None
@@ -570,7 +512,7 @@ class ActiveSetEngine:
             near = alphas <= alpha_best + 1e-13 * (1.0 + alpha_best)
             k = int(np.flatnonzero(near)[np.argmin(idx[near])])
             return float(alphas[k]), int(idx[k]), int(side[k])
-        ftol = self.feas_tol * (1.0 + _inf(self.x))
+        ftol = FEAS_TOL * (1.0 + _inf(self.x))
         alpha_relaxed = float(np.min((gap + ftol) / rate))
         cand = np.flatnonzero(alphas <= alpha_relaxed)
         order = np.lexsort((idx[cand], -rate[cand]))
@@ -619,7 +561,7 @@ class ActiveSetEngine:
             at_opt = False
 
     def _worst_violation(self, rc: np.ndarray) -> tuple[int | None, int]:
-        viol_tol = 0.5 * self.opt_tol
+        viol_tol = 0.5 * OPT_TOL
         scan = (self.status != BASIC) & ~self.pinned & ~self._noise_mask
         viol = np.where(self.status == AT_LOWER, -rc, rc)
         viol[~scan] = -math.inf
@@ -684,7 +626,7 @@ class ActiveSetEngine:
                     return "fallback"
             xn = self.x + p
             free = self._free_idx()
-            ftol = self.feas_tol * (1.0 + _inf(xn))
+            ftol = FEAS_TOL * (1.0 + _inf(xn))
             lo_v = self.lower[free] - xn[free]
             up_v = xn[free] - self.upper[free]
             worst, worst_side = None, AT_LOWER
@@ -720,7 +662,7 @@ class ActiveSetEngine:
         self.x[at_lo] = self.lower[at_lo]
         self.x[at_up] = self.upper[at_up]
         r0 = self.poly.b - self.A @ self.x
-        if _inf(r0) > self.feas_tol * (1.0 + _inf(self.poly.b)):
+        if _inf(r0) > FEAS_TOL * (1.0 + _inf(self.poly.b)):
             self.used_phase1 = True
             lp = solve_lp(QpProblem(linear=np.zeros(self.n), quad=None,
                                     sigma=0.0, offset=0.0, poly=self.poly))
@@ -754,26 +696,26 @@ class ActiveSetEngine:
         self.x[at_up] = self.upper[at_up]
         np.clip(self.x, self.lower, self.upper, out=self.x)
 
-    def _primal_feasibility(self, warm, reuse):
+    def _primal_feasibility(self, warm):
         """Make self.x primal feasible, repairing the warm basis if needed."""
         if warm is None:
             self._phase1()
             return
         bscale = 1.0 + _inf(self.poly.b)
         resid = self.poly.b - self.A @ self.x if self.m else np.zeros(0)
-        if _inf(resid) <= self.feas_tol * bscale:
-            self._build_factor(reuse)
+        if _inf(resid) <= FEAS_TOL * bscale:
+            self._build_factor()
             return
         # statuses are valid but equalities drifted (e.g. bound values moved):
         # try one restoration step through the free variables before Phase-1
         try:
-            self._build_factor(reuse)
+            self._build_factor()
             p, _ = self._direction(np.zeros(self.n), resid, validate=True)
             xn = self.x + p
-            ftol = self.feas_tol * (1.0 + _inf(xn))
+            ftol = FEAS_TOL * (1.0 + _inf(xn))
             if (np.all(xn >= self.lower - ftol)
                     and np.all(xn <= self.upper + ftol)
-                    and _inf(self.poly.b - self.A @ xn) <= self.feas_tol * bscale):
+                    and _inf(self.poly.b - self.A @ xn) <= FEAS_TOL * bscale):
                 self.x = np.clip(xn, self.lower, self.upper)
                 return
         except _SingularKkt:
@@ -784,16 +726,15 @@ class ActiveSetEngine:
               mode: StartMode = StartMode.PRIMAL_START,
               warm_x: np.ndarray | None = None) -> QpSolution:
         self._normalize_basis(warm, warm_x)
-        reuse = warm.factor_state if warm is not None else None
         dual_ok = mode == StartMode.DUAL_START and warm is not None
         try:
             try:
                 if dual_ok:
-                    self._build_factor(reuse)
+                    self._build_factor()
                     if self._dual_loop() == "fallback":
                         self._phase1()
                 else:
-                    self._primal_feasibility(warm, reuse)
+                    self._primal_feasibility(warm)
                 state = self._primal_loop()
             except _SingularKkt:
                 # last resort: rank-revealing row analysis plus Phase-1
@@ -829,7 +770,7 @@ class ActiveSetEngine:
         return QpSolution(
             x=self.x.copy(), lam=lam.copy(), mu_lower=mu_lower,
             mu_upper=mu_upper, objective=self.p.objective(self.x),
-            basis=WorkingBasis(self.status.copy(), self.factor),
+            basis=WorkingBasis(self.status.copy()),
             iterations=self.pivots, status=state,
             used_phase1=self.used_phase1, pivot_log=list(self.pivot_log),
             objective_trace=list(self.obj_trace),

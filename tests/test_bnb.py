@@ -214,3 +214,5 @@ class TestSolveBnb:
         res = solve_bnb(forced)
         assert res.incumbent_x is None
         assert not math.isfinite(res.incumbent_obj)
+        assert res.status == BnbStatus.INFEASIBLE
+        assert res.egap == math.inf

@@ -163,6 +163,25 @@ class TestBnb:
         out = capsys.readouterr().out
         assert "nodes         1" in out
 
+    def test_infeasible_exit_code_and_csv(self, tmp_path, capsys):
+        # two variables forced to 1 under a budget of 1: no integral point
+        q = QuadraticForm(F=np.zeros((4, 1)), sigma_factor=np.zeros((1, 1)),
+                          D=np.ones(4))
+        poly = Polyhedron(A=np.ones((1, 4)), b=[1.0], lower=[1, 1, 0, 0],
+                          upper=np.ones(4))
+        inst = ConicInstance(c=np.zeros(4), omega=1.0, q=q, poly=poly,
+                             integer_vars=(0, 1, 2, 3))
+        save_instance(inst, tmp_path / "inf.json")
+        out = tmp_path / "r.csv"
+        rc = main(["bnb", "--instance", str(tmp_path / "inf.json"),
+                   "--csv", str(out)])
+        assert rc == EXIT_INFEASIBLE
+        assert "solved        False" in capsys.readouterr().out
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert rows[0]["solved"] == "False"
+
     def test_non_discrete_rejected(self, tmp_path):
         inst = write_simplex_instance(tmp_path / "s.json")
         assert main(["bnb", "--instance", str(inst)]) == EXIT_USAGE
