@@ -3,11 +3,13 @@
 Nodes carry bound changes relative to the root, the parent's optimal basis,
 and the parent's scale t; relaxations are solved to optimality by
 coordinate descent, dual-starting the first QP of each non-root node from
-the parent basis.  Branching uses the maximum-infeasibility rule (the
-variable farthest from an integer, lowest index on ties), the child
-violating its new bound by the least amount is processed next, and the
-sibling joins a best-bound list.  No presolve, cutting planes, or
-heuristics are applied.
+the parent basis.  Only a certified relaxation (any status but IterLimit)
+prunes a node or bounds its children; an uncertified one is a feasible
+point whose value bounds the node from above only.  Branching uses the
+maximum-infeasibility rule (the variable farthest from an integer, lowest
+index on ties), the child violating its new bound by the least amount is
+processed next, and the sibling joins a best-bound list.  No presolve,
+cutting planes, or heuristics are applied.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .model import (
     ConicInstance,
     InfeasibleError,
     Polyhedron,
+    SolveStatus,
     eval_objective,
 )
 from .solvers import CdOptions, solve_cd
@@ -36,6 +39,7 @@ class BnbStatus(Enum):
     GAP_REACHED = "GapReached"
     TIME_LIMIT = "TimeLimit"
     INFEASIBLE = "Infeasible"
+    UNCERTIFIED = "Uncertified"  # uncertified relaxations hold the gap open
 
 
 @dataclass
@@ -78,6 +82,7 @@ class BnbResult:
     warm_accepts: int = 0
     warm_repairs: int = 0
     infeasible_nodes: int = 0
+    uncertified_nodes: int = 0
 
 
 BRANCH_TIE_TOL = 1e-6
@@ -141,6 +146,13 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
     node list empties (status Infeasible if no node gave an integral
     point), or when a time/node limit trips (status TimeLimit with the gap
     at that point).
+
+    A node relaxation that stops at its iteration limit is not certified:
+    it never prunes, an integral point of it still becomes the incumbent
+    when better, its children inherit the node's own bound, and a node
+    that cannot be branched keeps that bound in the open bound.  If such
+    nodes leave the gap open once the list empties, the status is
+    Uncertified.
     """
     opts = opts or BnbOptions()
     if not inst.integer_vars:
@@ -155,13 +167,14 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
                    lb=-math.inf, depth=0)
     heapq.heappush(heap, (root.lb, next(counter), root))
     next_node: BnbNode | None = None
+    stuck_lb = math.inf  # lowest bound of the unbranchable uncertified nodes
 
     nodes = qp_count = pivot_count = 0
-    warm_accepts = warm_repairs = infeasible_nodes = 0
+    warm_accepts = warm_repairs = infeasible_nodes = uncertified_nodes = 0
     status = BnbStatus.OPTIMAL
 
     def open_bound() -> float:
-        lb = heap[0][0] if heap else math.inf
+        lb = min(heap[0][0] if heap else math.inf, stuck_lb)
         if next_node is not None:
             lb = min(lb, next_node.lb)
         return min(lb, ub)
@@ -209,19 +222,26 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
             else:
                 warm_accepts += 1
         z = res.objective
+        certified = res.status != SolveStatus.ITER_LIMIT
+        # z bounds the node's subtree from below only when certified
+        node_lb = z if certified else node.lb
+        uncertified_nodes += not certified
         if opts.log_stride and nodes % opts.log_stride == 0:
             # the solved node is no longer in the open list, but its subtree
-            # is still bounded below by z, so count it in the reported bound
-            lb_now = min(open_bound(), z)
+            # is still bounded below by node_lb, so count it in the bound
+            lb_now = min(open_bound(), node_lb)
             opts.log_fn(
                 f"node={nodes} ub={ub:.9g} lb={lb_now:.9g} "
                 f"gap={_egap(ub, lb_now):.3e} depth={node.depth}"
             )
-        if z >= ub:
+        if certified and z >= ub:
             continue  # prune by bound
         if _is_integral(res.x, inst.integer_vars, opts.int_tol):
-            ub = z
-            x_star = res.x.copy()
+            if z < ub:
+                ub = z
+                x_star = res.x.copy()
+            if not certified:
+                stuck_lb = min(stuck_lb, node_lb)
             continue  # prune by integer feasibility
         j, fl, cl = branch_select(res.x, inst.integer_vars, opts.int_tol)
         v = float(res.x[j])
@@ -229,10 +249,10 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
         hi_j = float(sub.poly.upper[j])
         child_le = BnbNode(
             bound_changes=node.bound_changes + ((j, lo_j, float(fl)),),
-            basis=res.basis, t_parent=res.t, lb=z, depth=node.depth + 1)
+            basis=res.basis, t_parent=res.t, lb=node_lb, depth=node.depth + 1)
         child_ge = BnbNode(
             bound_changes=node.bound_changes + ((j, float(cl), hi_j),),
-            basis=res.basis, t_parent=res.t, lb=z, depth=node.depth + 1)
+            basis=res.basis, t_parent=res.t, lb=node_lb, depth=node.depth + 1)
         # dive into the child whose new bound is violated least (the floor
         # child on near-ties, so the dive order is stable against noise)
         if (v - fl) - (cl - v) <= BRANCH_TIE_TOL:
@@ -242,16 +262,21 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
         heapq.heappush(heap, (sibling.lb, next(counter), sibling))
 
     best_bound = open_bound()
-    if status == BnbStatus.OPTIMAL and x_star is None:
-        status = BnbStatus.INFEASIBLE
     egap = _egap(ub, best_bound)
     if status == BnbStatus.OPTIMAL:
-        egap = 0.0
+        if x_star is None:
+            status = BnbStatus.INFEASIBLE
+        elif best_bound < ub:  # unbranchable uncertified nodes stay open
+            status = (BnbStatus.GAP_REACHED if egap <= opts.gap_tol
+                      else BnbStatus.UNCERTIFIED)
+        else:
+            egap = 0.0
     return BnbResult(
         incumbent_x=x_star, incumbent_obj=ub, best_bound=best_bound,
         nodes_processed=nodes, status=status, egap=egap, qp_count=qp_count,
         pivot_count=pivot_count, warm_accepts=warm_accepts,
         warm_repairs=warm_repairs, infeasible_nodes=infeasible_nodes,
+        uncertified_nodes=uncertified_nodes,
     )
 
 

@@ -170,6 +170,7 @@ def cmd_bnb(args) -> int:
     print(f"pivot_count   {res.pivot_count}")
     print(f"warm_accepts  {res.warm_accepts}")
     print(f"warm_repairs  {res.warm_repairs}")
+    print(f"uncertified   {res.uncertified_nodes}")
     print(f"time_s        {rec.time_s:.4f}")
     print(f"status        {res.status.value}")
     print(f"solved        {rec.solved}")

@@ -111,6 +111,14 @@ class QuadraticForm:
             return q
         return self.dense_cache
 
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Q[rows][:, cols], from the dense cache when it is built."""
+        if self.dense_cache is not None:
+            return self.dense_cache[np.ix_(rows, cols)]
+        blk = self._W[rows] @ self._W[cols].T
+        blk += np.where(rows[:, None] == cols, self.D[cols], 0.0)
+        return blk
+
     def diagonal(self) -> np.ndarray:
         """diag(Q) = row norms of W squared plus D."""
         return np.einsum("ij,ij->i", self._W, self._W) + self.D

@@ -12,17 +12,22 @@ bound); all equalities are permanently active.  Three entry modes exist:
   typically an optimal basis of the same problem with changed bounds; the
   engine restores primal feasibility by fixing violated variables.
 
-Linear algebra: a dense LU factorization of the reduced KKT system for the
-working set at the last refactorization, bordered through a Schur
-complement for subsequent single working-set changes; the system is
-refactorized from scratch every 100 updates or when a growth monitor
-exceeds 1e8.  LPs (sigma = 0), Phase-1 included, are one-off cold solves
+Linear algebra: a dense LU factorization of the sigma-free reduced KKT
+system ``[[Q_FF, A_F'], [A_F, 0]]`` for the working set at the last
+refactorization, bordered through a Schur complement for subsequent single
+working-set changes; each direction solve scales its right-hand side by
+``1/sigma``.  The system is refactorized from scratch every 100 updates or
+when a growth monitor exceeds 1e8.  A solution's basis carries its final
+factor, and the next QP on the same polyhedron and quadratic form adopts a
+copy of it when its free set matches, so a warm QP that takes no pivots
+costs one solve and no factorization.  LPs (sigma = 0), Phase-1 included, are one-off cold solves
 in the HiGHS dual simplex (``solve_lp``), whose vertex and multipliers come
 back in the engine's conventions, ready to warm-start a QP.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -97,13 +102,17 @@ class QpProblem:
 class WorkingBasis:
     """Variable partition carried between QPs and between search-tree nodes.
 
-    ``status`` tags each variable BASIC, AT_LOWER or AT_UPPER.  It is all a
-    warm start hands over besides the point: the receiving solve builds its
-    own KKT factorization for the free set, since the Hessian scale
-    ``sigma = omega/t`` differs from one QP to the next.
+    ``status`` tags each variable BASIC, AT_LOWER or AT_UPPER.  ``factor`` is
+    the sigma-free KKT factorization the producing solve ended with, or
+    None.  The receiving solve adopts a copy of it when it was built on the
+    same ``Polyhedron`` and ``QuadraticForm`` objects with the same pinned
+    mask, its free set equals the receiving free set, and it has no
+    refactorization pending; otherwise it builds its own.  The factor is
+    never serialized, and a basis may warm-start any number of solves.
     """
 
     status: np.ndarray
+    factor: _KktFactor | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -117,23 +126,30 @@ class QpSolution:
     iterations: int
     status: QpStatus
     used_phase1: bool = False
+    factor_reused: bool = False
     pivot_log: list = field(default_factory=list)
     objective_trace: list = field(default_factory=list)
 
 
 class _KktFactor:
-    """LU of the base reduced KKT matrix plus a bordered Schur complement.
+    """LU of the sigma-free base KKT matrix plus a bordered Schur complement.
 
-    The base system covers the free set at (re)factorization time together
-    with the active equality rows.  Later working-set changes append border
+    The base matrix ``[[Q_FF, A_F'], [A_F, 0]]`` covers the free set F at
+    (re)factorization time and the kept equality rows.  It holds no Hessian
+    scale: ``[[sigma Q, A'], [A, 0]] [p; y] = [r0; r1]`` is the same system
+    as ``[[Q, A'], [A, 0]] [p; y/sigma] = [r0/sigma; r1]``, so one factor
+    serves every ``sigma``.  Later working-set changes append border
     entries: ('fix', j) adds a unit constraint pinning a base variable,
     ('free', j) adds the KKT column of a newly freed variable.  Solves go
     through the Schur complement of the border block.
+
+    A factor refers to the polyhedron, quadratic form and pinned mask it was
+    built on, never to an engine, so a solution can hand it to the next QP.
     """
 
-    def __init__(self, hcol, A, rows, base_free):
-        self.hcol = hcol  # hcol(j, idx) -> H[idx, j] for the current Hessian
-        self.A = A
+    def __init__(self, poly, quad, pinned, rows, base_free):
+        self.poly, self.quad, self.pinned = poly, quad, pinned
+        self.A = poly.A
         self.rows = np.asarray(rows, dtype=int)
         self.base_free = np.asarray(base_free, dtype=int)
         self.pos = {int(j): i for i, j in enumerate(self.base_free)}
@@ -141,7 +157,7 @@ class _KktFactor:
         self.nb, self.mr, self.N0 = nb, mr, nb + mr
         K0 = np.zeros((self.N0, self.N0))
         if nb:
-            K0[:nb, :nb] = self._hbase()
+            K0[:nb, :nb] = quad.block(self.base_free, self.base_free)
         if mr and nb:
             Afb = self.A[np.ix_(self.rows, self.base_free)]
             K0[:nb, nb:] = Afb.T
@@ -162,9 +178,26 @@ class _KktFactor:
         self.updates = 0
         self.needs_refactor = False
 
-    def _hbase(self) -> np.ndarray:
-        cols = [self.hcol(int(j), self.base_free) for j in self.base_free]
-        return np.column_stack(cols) if cols else np.zeros((0, 0))
+    def copy(self) -> "_KktFactor":
+        """A copy with its own border; the base LU, never written after
+        construction, is shared."""
+        c = copy.copy(self)
+        c.border = list(self.border)
+        c.B, c.Y, c.C = self.B.copy(), self.Y.copy(), self.C.copy()
+        return c
+
+    def serves(self, poly, quad, pinned, free_mask) -> bool:
+        """Whether this factor is the KKT system of ``free_mask`` on ``poly``
+        and ``quad`` with the given pinned mask, without pending refactor."""
+        if poly is not self.poly or quad is not self.quad or self.needs_refactor:
+            return False
+        if not np.array_equal(pinned, self.pinned):
+            return False
+        mine = np.zeros(poly.n, dtype=bool)
+        mine[self.base_free] = True
+        for kind, j in self.border:
+            mine[j] = kind == "free"
+        return bool(np.array_equal(mine, free_mask))
 
     def _k0_solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.N0 == 0:
@@ -220,16 +253,17 @@ class _KktFactor:
             if ent == ("fix", j):
                 self._remove(i)
                 return
+        fr = [i for i, (kind, _) in enumerate(self.border) if kind == "free"]
+        idx = np.concatenate([self.base_free, np.array(
+            [self.border[i][1] for i in fr] + [j], dtype=int)])
+        h = self.quad.block(idx, np.array([j]))[:, 0]  # Q[idx, j]
         col = np.zeros(self.N0)
-        if self.nb:
-            col[: self.nb] = self.hcol(j, self.base_free)
+        col[: self.nb] = h[: self.nb]
         if self.mr:
             col[self.nb:] = self.A[self.rows, j]
-        cross = np.array(
-            [self.hcol(j, np.array([k]))[0] if kind == "free" else 0.0
-             for kind, k in self.border]
-        )
-        self._append(("free", j), col, cross, float(self.hcol(j, np.array([j]))[0]))
+        cross = np.zeros(len(self.border))  # a fix entry's unit row is 0 at j
+        cross[fr] = h[self.nb:-1]
+        self._append(("free", j), col, cross, float(h[-1]))
 
     def solve(self, rhs0, rhsb, validate=False):
         """Solve the bordered system [[K0, B], [B', C]] [z; w] = [rhs0; rhsb]."""
@@ -285,10 +319,7 @@ class ActiveSetEngine:
         self.pinned = self.lower == self.upper
         if not self.sigma > 0:
             raise ValueError("the active-set engine needs sigma > 0; use solve_lp")
-        q = problem.quad
-        self._W = q._W
-        self._D = q.D
-        self._Q_dense = q.dense_cache  # may be None; used when available
+        self.quad = problem.quad
         # mutable per-solve state
         self.x = np.zeros(self.n)
         self.status = np.full(self.n, AT_LOWER, dtype=np.int8)
@@ -297,6 +328,8 @@ class ActiveSetEngine:
         self.pivot_log: list = []
         self.obj_trace: list = []
         self.used_phase1 = False
+        self.factor_reused = False
+        self._handed: _KktFactor | None = None  # the warm basis's factor
         self._degen_streak = 0
         self._bland = False
         self._noise_mask = np.zeros(self.n, dtype=bool)
@@ -305,21 +338,12 @@ class ActiveSetEngine:
         self._last_lam = np.zeros(self.m)
 
     # ------------------------------------------------------------------
-    # Hessian access for the KKT factorization
+    # Hessian products
     # ------------------------------------------------------------------
-
-    def _hcol(self, j: int, idx: np.ndarray) -> np.ndarray:
-        if self._Q_dense is not None:
-            return self.sigma * self._Q_dense[idx, j]
-        col = self._W[idx] @ self._W[j]
-        col[idx == j] += self._D[j]
-        return self.sigma * col
 
     def _hmatvec(self, v: np.ndarray) -> np.ndarray:
         """sigma * Q @ v."""
-        if self._Q_dense is not None:
-            return self.sigma * (self._Q_dense @ v)
-        return self.sigma * (self._W @ (self._W.T @ v) + self._D * v)
+        return self.sigma * self.quad.matvec(v)
 
     def _gradient(self) -> np.ndarray:
         return self.g + self._hmatvec(self.x)
@@ -412,14 +436,28 @@ class ActiveSetEngine:
             candidates = candidates[candidates != j]
 
     def _build_factor(self):
+        """Factor the KKT system of the current free set.
+
+        The first build of a solve adopts a copy of the warm basis's factor
+        instead when that factor serves the free set; later builds are
+        refactorizations and always start from scratch.
+        """
+        handed, self._handed = self._handed, None
+        if handed is not None and handed.serves(self.poly, self.quad,
+                                                self.pinned,
+                                                self.status == BASIC):
+            self.factor = handed.copy()
+            self._rows_cache = handed.rows  # row analysis depends on poly only
+            self.factor_reused = True
+            return
         rows = self._kept_rows()
         self._ensure_row_rank(rows)
         free = self._free_idx()
-        if (self._Q_dense is None and free.size >= max(64, self.n // 4)
+        if (self.quad.dense_cache is None and free.size >= max(64, self.n // 4)
                 and self.n <= 4000):
             # large free sets assemble Hessian blocks much faster densely
-            self._Q_dense = self.p.quad.dense()
-        self.factor = _KktFactor(self._hcol, self.A, rows, free)
+            self.quad.dense()
+        self.factor = _KktFactor(self.poly, self.quad, self.pinned, rows, free)
 
     def _refactor(self):
         self.factor = None
@@ -446,16 +484,19 @@ class ActiveSetEngine:
                    validate: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """EQP step p and equality multipliers lam at the current working set.
 
-        Solves [[H_FF, A_F'], [A_F, 0]] [p; y] = [-d_F; eq_resid]; lam = -y.
+        Solves [[sigma Q_FF, A_F'], [A_F, 0]] [p; y] = [-d_F; eq_resid] as
+        [[Q_FF, A_F'], [A_F, 0]] [p; y/sigma] = [-d_F/sigma; eq_resid] on the
+        sigma-free factor; lam = -y.
         """
         fac = self.factor
+        g = d / -self.sigma
         rhs0 = np.zeros(fac.N0)
         if fac.nb:
-            rhs0[: fac.nb] = -d[fac.base_free]
+            rhs0[: fac.nb] = g[fac.base_free]
         if fac.mr and eq_resid is not None:
             rhs0[fac.nb:] = eq_resid[fac.rows]
         rhsb = np.array(
-            [-d[j] if kind == "free" else 0.0 for kind, j in fac.border]
+            [g[j] if kind == "free" else 0.0 for kind, j in fac.border]
         )
         z, w = fac.solve(rhs0, rhsb, validate=validate)
         p = np.zeros(self.n)
@@ -465,7 +506,7 @@ class ActiveSetEngine:
             p[j] = w[i] if kind == "free" else 0.0
         lam = np.zeros(self.m)
         if fac.mr:
-            lam[fac.rows] = -z[fac.nb:]
+            lam[fac.rows] = -self.sigma * z[fac.nb:]
         return p, lam
 
     def _direction_robust(self, d, eq_resid=None, validate=False):
@@ -726,6 +767,7 @@ class ActiveSetEngine:
               mode: StartMode = StartMode.PRIMAL_START,
               warm_x: np.ndarray | None = None) -> QpSolution:
         self._normalize_basis(warm, warm_x)
+        self._handed = warm.factor if warm is not None else None
         dual_ok = mode == StartMode.DUAL_START and warm is not None
         try:
             try:
@@ -754,7 +796,8 @@ class ActiveSetEngine:
                 mu_lower=np.zeros(self.n), mu_upper=np.zeros(self.n),
                 objective=math.inf, basis=WorkingBasis(self.status.copy()),
                 iterations=self.pivots, status=state,
-                used_phase1=self.used_phase1, pivot_log=list(self.pivot_log),
+                used_phase1=self.used_phase1, factor_reused=self.factor_reused,
+                pivot_log=list(self.pivot_log),
                 objective_trace=list(self.obj_trace),
             )
         d = self._gradient()
@@ -767,12 +810,15 @@ class ActiveSetEngine:
         mu_upper[at_up] = np.maximum(-rc[at_up], 0.0)
         mu_lower[self.pinned] = np.maximum(rc[self.pinned], 0.0)
         mu_upper[self.pinned] = np.maximum(-rc[self.pinned], 0.0)
+        fac = self.factor
+        handover = fac if fac is not None and not fac.needs_refactor else None
         return QpSolution(
             x=self.x.copy(), lam=lam.copy(), mu_lower=mu_lower,
             mu_upper=mu_upper, objective=self.p.objective(self.x),
-            basis=WorkingBasis(self.status.copy()),
+            basis=WorkingBasis(self.status.copy(), handover),
             iterations=self.pivots, status=state,
-            used_phase1=self.used_phase1, pivot_log=list(self.pivot_log),
+            used_phase1=self.used_phase1, factor_reused=self.factor_reused,
+            pivot_log=list(self.pivot_log),
             objective_trace=list(self.obj_trace),
         )
 

@@ -92,6 +92,12 @@ def init_tmax_from_lp(inst: ConicInstance) -> tuple[float, WorkingBasis]:
     return math.sqrt(max(inst.q.quad(sol.x), 0.0)), sol.basis
 
 
+def _statuses(sol: QpSolution | None) -> WorkingBasis | None:
+    """The final basis without its KKT factor: a held result keeps statuses
+    only, and a later warm start from it builds its own factor."""
+    return WorkingBasis(sol.basis.status) if sol is not None else None
+
+
 def _certificate(inst: ConicInstance, x: np.ndarray, sol: QpSolution) -> KktCertificate | None:
     cert = KktCertificate(lam=sol.lam, mu_lower=sol.mu_lower, mu_upper=sol.mu_upper)
     try:
@@ -203,7 +209,7 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
         qp_count=qp_count, pivot_count=sum(qp_pivots), trace=trace,
         status=status, stop_reason=stop_reason, qp_pivots=qp_pivots,
         phase1_count=phase1_count, first_qp_used_phase1=first_qp_phase1,
-        basis=sol.basis if sol is not None else None,
+        basis=_statuses(sol),
     )
 
 
@@ -254,7 +260,7 @@ def solve_bisection(inst: ConicInstance,
             pivot_count=sum(qp_pivots), trace=trace, status=SolveStatus.T_ZERO,
             stop_reason="t_zero", qp_pivots=qp_pivots,
             phase1_count=phase1_count, first_qp_used_phase1=first_qp_phase1,
-            basis=incumbent_sol.basis if incumbent_sol is not None else None,
+            basis=_statuses(incumbent_sol),
         )
 
     interval_trace.append((t_min, t_max))
@@ -325,5 +331,5 @@ def solve_bisection(inst: ConicInstance,
         status=status, stop_reason=stop_reason, qp_pivots=qp_pivots,
         phase1_count=phase1_count, first_qp_used_phase1=first_qp_phase1,
         interval_trace=interval_trace,
-        basis=incumbent_sol.basis if incumbent_sol is not None else None,
+        basis=_statuses(incumbent_sol),
     )

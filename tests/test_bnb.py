@@ -216,3 +216,29 @@ class TestSolveBnb:
         assert not math.isfinite(res.incumbent_obj)
         assert res.status == BnbStatus.INFEASIBLE
         assert res.egap == math.inf
+
+
+class TestUncertifiedRelaxations:
+    """Node relaxations stopped by a pivot cap bound a node from above only."""
+
+    @pytest.mark.parametrize("inst", [seeded_card(2), seeded_card(4),
+                                      seeded_grid(4)],
+                             ids=["card2", "card4", "grid4"])
+    def test_never_prune_or_bound(self, inst, capped_dual_starts):
+        # without the certification check each of these trees reported
+        # Optimal with an incumbent 9-74% worse than the enumeration optimum
+        _, opt = enumeration_oracle(inst)
+        res = solve_bnb(inst)
+        assert res.uncertified_nodes > 0
+        assert res.best_bound <= opt + 1e-9 * abs(opt)
+        assert res.incumbent_obj >= opt - 1e-9 * abs(opt)
+        assert res.status == BnbStatus.UNCERTIFIED
+        assert res.egap > BnbOptions().gap_tol
+
+    def test_uncapped_tree_has_no_uncertified_nodes(self):
+        inst = seeded_card(2)
+        _, opt = enumeration_oracle(inst)
+        res = solve_bnb(inst)
+        assert res.uncertified_nodes == 0
+        assert res.status in (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
+        assert abs(res.incumbent_obj - opt) <= 1e-4 * abs(opt)

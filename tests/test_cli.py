@@ -116,7 +116,8 @@ class TestSolve:
         out = tmp_path / "r.csv"
         assert main(["solve", "--instance", str(inst), "--csv",
                      str(out)]) == EXIT_OK
-        rows = list(csv.reader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["instance", "family", "n", "r", "alpha", "omega",
                            "method", "time_s", "qp_count", "pivot_count",
                            "nodes", "objective", "kkt_residual", "egap",
@@ -181,6 +182,19 @@ class TestBnb:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["solved"] == "False"
+
+    def test_uncertified_tree_not_solved(self, tmp_path, capsys,
+                                         capped_dual_starts):
+        main(["gen", "--family", "gridpath", "--grid", "4x4", "--r", "5",
+              "--alpha", "0.5", "--omega", "2", "--seed", "4", "--discrete",
+              "--out", str(tmp_path)])
+        capsys.readouterr()
+        inst = str(next(tmp_path.glob("*.json")))
+        rc = main(["bnb", "--instance", inst])
+        out = capsys.readouterr().out
+        assert rc == EXIT_LIMIT
+        assert "status        Uncertified" in out
+        assert "solved        False" in out
 
     def test_non_discrete_rejected(self, tmp_path):
         inst = write_simplex_instance(tmp_path / "s.json")

@@ -179,7 +179,15 @@ class TestInvariants:
     def test_factored_dense_agreement(self):
         rng = np.random.default_rng(7)
         q = gen_quadratic(40, 8, 0.5, rng)
+        pick = np.random.default_rng(8)
+        rows = pick.choice(40, 12, replace=False)
+        cols = np.append(pick.choice(40, 8, replace=False), rows[3])
+        blk = q.block(rows, cols)  # factored form, before the dense cache
         dense = q.dense()
+        np.testing.assert_allclose(blk, dense[np.ix_(rows, cols)],
+                                   rtol=0, atol=1e-12 * np.abs(dense).max())
+        np.testing.assert_array_equal(q.block(rows, cols),
+                                      dense[np.ix_(rows, cols)])
         for _ in range(50):
             x = rng.normal(size=40)
             lhs = q.F @ (q.sigma_factor @ (q.sigma_factor.T @ (q.F.T @ x))) + q.D * x

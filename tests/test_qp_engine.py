@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 import conicqp.qp
+import conicqp.solvers
 from conicqp import (
     LpFailureError,
     Polyhedron,
@@ -13,9 +14,11 @@ from conicqp import (
     QuadraticForm,
     StartMode,
     reoptimize_after_bound_change,
+    solve_cd,
     solve_qp,
 )
-from conicqp.generate import gen_quadratic
+from conicqp.generate import GenSpec, gen_grid_path, gen_quadratic
+from conicqp.qp import BASIC, ActiveSetEngine
 
 from oracles import enumerate_tiny_qp, projected_gradient_qp
 
@@ -261,3 +264,104 @@ class TestInvariants:
             gap_up = s.mu_upper * (p.poly.upper - s.x)
             assert np.max(np.abs(gap_lo), initial=0.0) <= 1e-7
             assert np.max(np.abs(gap_up), initial=0.0) <= 1e-7
+
+
+def with_sigma(p, sigma, poly=None, quad=None):
+    return QpProblem(linear=p.linear, quad=quad or p.quad, sigma=sigma,
+                     offset=p.offset, poly=poly or p.poly)
+
+
+def card_problem(n=50, seed=3, sigma=2.0):
+    rng = np.random.default_rng(seed)
+    q = gen_quadratic(n, 6, 0.3, rng)
+    poly = Polyhedron(A=np.ones((1, n)), b=[n / 5.0], lower=np.zeros(n),
+                      upper=np.ones(n))
+    return QpProblem(linear=-np.sqrt(q.diagonal()) * rng.random(n), quad=q,
+                     sigma=sigma, offset=0.0, poly=poly)
+
+
+class TestFactorHandover:
+    def test_one_factor_serves_every_sigma(self):
+        rng = np.random.default_rng(5)
+        p = random_problem(rng, n=10, m=3, sigma=1.0)
+        sol = solve_qp(p)
+        fac = sol.basis.factor
+        assert fac is not None and fac.border  # bordered, not just a base LU
+        free = np.flatnonzero(sol.basis.status == BASIC)
+        rows, nf = fac.rows, free.size
+        A_F = p.poly.A[np.ix_(rows, free)]
+        Q_FF = p.quad.dense()[np.ix_(free, free)]
+        d = rng.normal(size=p.poly.n)
+        resid = rng.normal(size=p.poly.m)
+        for sigma in (1e-3, 1.0, 1e3):
+            eng = ActiveSetEngine(with_sigma(p, sigma))
+            eng.status = sol.basis.status.copy()
+            eng.factor = fac.copy()
+            step, lam = eng._direction(d, resid, validate=True)
+            K = np.block([[sigma * Q_FF, A_F.T],
+                          [A_F, np.zeros((rows.size, rows.size))]])
+            ref = np.linalg.solve(K, np.concatenate([-d[free], resid[rows]]))
+            got = np.concatenate([step[free], -lam[rows]])
+            scale = np.max(np.abs(ref))
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * scale)
+            assert not step[sol.basis.status != BASIC].any()
+
+    def test_cd_chain_reuses_matching_factors(self, monkeypatch):
+        calls = []
+        real = conicqp.solvers.solve_qp
+
+        def recording(problem, warm=None, *args, **kwargs):
+            sol = real(problem, warm, *args, **kwargs)
+            calls.append((warm, sol))
+            return sol
+
+        monkeypatch.setattr(conicqp.solvers, "solve_qp", recording)
+        inst = gen_grid_path(GenSpec(family="gridpath", p=6, q=6, r=5,
+                                     alpha=0.3, omega=2.0, seed=3))
+        solve_cd(inst)
+        assert len(calls) >= 3
+        assert not calls[0][1].factor_reused  # the LP basis has no factor
+        matching = 0
+        for (_, prev), (warm, sol) in zip(calls, calls[1:]):
+            same = (prev.basis.factor is not None and np.array_equal(
+                warm.status == BASIC, prev.basis.status == BASIC))
+            assert sol.factor_reused == same
+            matching += same
+        assert matching == len(calls) - 1
+
+    def test_other_polyhedron_quad_or_pinned_mask_rebuilds(self):
+        p = card_problem()
+        base = solve_qp(p)
+        assert base.basis.factor is not None
+        assert reoptimize_after_bound_change(base, p).factor_reused
+        poly = p.poly
+        other = Polyhedron(poly.A, poly.b, poly.lower, poly.upper)
+        res = reoptimize_after_bound_change(base, with_sigma(p, p.sigma, other))
+        assert not res.factor_reused
+        quad = QuadraticForm(p.quad.F, p.quad.sigma_factor, p.quad.D)
+        res = reoptimize_after_bound_change(base, with_sigma(p, p.sigma,
+                                                             quad=quad))
+        assert not res.factor_reused
+        # pin a variable at its lower bound on the same Polyhedron object
+        j = int(np.flatnonzero(base.x < 1e-12)[0])
+        poly.upper[j] = poly.lower[j]
+        res = reoptimize_after_bound_change(base, p)
+        assert not res.factor_reused
+        cold = solve_qp(with_sigma(p, p.sigma, Polyhedron(
+            poly.A, poly.b, poly.lower, poly.upper)))
+        assert res.objective == pytest.approx(
+            cold.objective, abs=1e-9 * (1 + abs(cold.objective)))
+
+    def test_shared_warm_basis_serves_each_solve_as_alone(self):
+        p = card_problem()
+        targets = (1.5, 1.2)
+        shared = solve_qp(p)
+        together = [solve_qp(with_sigma(p, sg), warm=shared.basis,
+                             warm_x=shared.x) for sg in targets]
+        assert all(s.factor_reused and s.iterations > 0 for s in together)
+        for sg, got in zip(targets, together):
+            fresh = solve_qp(p)
+            alone = solve_qp(with_sigma(p, sg), warm=fresh.basis,
+                             warm_x=fresh.x)
+            np.testing.assert_array_equal(got.x, alone.x)
+            assert got.pivot_log == alone.pivot_log

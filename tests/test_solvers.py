@@ -223,3 +223,12 @@ class TestWarmStartBehavior:
         resumed = solve_cd(inst, warm=(first.basis, first.t))
         assert resumed.objective == pytest.approx(first.objective, abs=1e-9)
         assert resumed.pivot_count <= 2
+
+    def test_results_hand_over_statuses_only(self):
+        # a held result (an open B&B node's basis) must not keep a KKT factor
+        inst = seeded(5, family="gridpath", grid=(5, 5))
+        for res in (solve_cd(inst), solve_bisection(inst)):
+            assert res.qp_count >= 2
+            assert res.basis is not None and res.basis.factor is None
+            resumed = solve_cd(inst, warm=(res.basis, res.t))
+            assert resumed.basis.factor is None
