@@ -15,6 +15,7 @@ from .model import (
     LpFailureError,
     Polyhedron,
     QuadraticForm,
+    SingularKktError,
     SolveStatus,
     ZeroQuadraticError,
     dual_bound_estimate,
@@ -76,6 +77,7 @@ __all__ = [
     "QpSolution",
     "QpStatus",
     "QuadraticForm",
+    "SingularKktError",
     "SolveStatus",
     "StartMode",
     "WorkingBasis",

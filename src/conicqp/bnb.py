@@ -3,9 +3,9 @@
 Nodes carry bound changes relative to the root, the parent's optimal basis,
 and the parent's scale t; relaxations are solved to optimality by
 coordinate descent, dual-starting the first QP of each non-root node from
-the parent basis.  Only a certified relaxation (any status but IterLimit)
-prunes a node or bounds its children; an uncertified one is a feasible
-point whose value bounds the node from above only.  Branching uses the
+the parent basis.  Only a certified relaxation (any status but IterLimit
+or Uncertified) prunes a node or bounds its children; an uncertified one
+is a point whose value bounds the node from above only.  Branching uses the
 maximum-infeasibility rule (the variable farthest from an integer, lowest
 index on ties), the child violating its new bound by the least amount is
 processed next, and the sibling joins a best-bound list.  No presolve,
@@ -147,9 +147,9 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
     point), or when a time/node limit trips (status TimeLimit with the gap
     at that point).
 
-    A node relaxation that stops at its iteration limit is not certified:
-    it never prunes, an integral point of it still becomes the incumbent
-    when better, its children inherit the node's own bound, and a node
+    A node relaxation that stops at its iteration limit, or without a KKT
+    certificate (status Uncertified), is not certified: it never prunes,
+    an integral point of it still becomes the incumbent when better, its children inherit the node's own bound, and a node
     that cannot be branched keeps that bound in the open bound.  If such
     nodes leave the gap open once the list empties, the status is
     Uncertified.
@@ -222,7 +222,8 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
             else:
                 warm_accepts += 1
         z = res.objective
-        certified = res.status != SolveStatus.ITER_LIMIT
+        certified = res.status not in (SolveStatus.ITER_LIMIT,
+                                       SolveStatus.UNCERTIFIED)
         # z bounds the node's subtree from below only when certified
         node_lb = z if certified else node.lb
         uncertified_nodes += not certified

@@ -4,7 +4,8 @@ Subcommands: ``gen`` writes instance files, ``solve`` runs a convex driver
 on one instance, ``bnb`` runs branch-and-bound on a discrete instance, and
 ``bench`` sweeps a directory with one or more methods and writes a CSV with
 per-run rows plus per-cell means.  Exit codes: 0 solved/success, 2 usage
-error, 3 infeasible, 4 iteration/time limit reached.
+error, 3 infeasible, 4 not solved (iteration/time limit, Uncertified, an LP
+HiGHS leaves unsolved, or a KKT system that stays singular).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from .bnb import BnbOptions, BnbStatus, solve_bnb
 from .generate import GenSpec, generate, load_instance, save_instance
-from .model import InfeasibleError, LpFailureError, SolveStatus
+from .model import InfeasibleError, LpFailureError, SingularKktError, SolveStatus
 from .solvers import BisectOptions, CdOptions, solve_bisection, solve_cd
 
 EXIT_OK = 0
@@ -187,7 +188,7 @@ def _bench_one(inst, path, method: str) -> BenchRecord | None:
     start = time.perf_counter()
     try:
         return _run(inst, path, method)[1]
-    except (InfeasibleError, LpFailureError):
+    except (InfeasibleError, LpFailureError, SingularKktError):
         return _record(inst, path, method, time.perf_counter() - start)
 
 
@@ -308,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except LpFailureError as exc:
         print(f"LP not solved: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except SingularKktError as exc:
+        print(f"QP not solved: {exc}", file=sys.stderr)
         return EXIT_LIMIT
 
 

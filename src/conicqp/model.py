@@ -45,6 +45,11 @@ class LpFailureError(RuntimeError):
     proof of infeasibility (iteration limit, numerical trouble)."""
 
 
+class SingularKktError(RuntimeError):
+    """Raised when the QP engine's KKT system stays singular after its one
+    recovery (typically a Hessian singular on the free set, as with D = 0)."""
+
+
 @dataclass
 class QuadraticForm:
     """PSD matrix Q = F (H H') F' + diag(D), kept in factored form.
@@ -210,6 +215,7 @@ class SolveStatus(Enum):
     TOLERANCE_REACHED = "ToleranceReached"
     ITER_LIMIT = "IterLimit"
     T_ZERO = "TZero"
+    UNCERTIFIED = "Uncertified"  # stopped, but no KKT certificate at x
 
 
 @dataclass

@@ -3,14 +3,16 @@
 The engine minimizes ``linear'x + (sigma/2) x'Qx + offset`` subject to a
 system of equalities and finite variable bounds.  The working set is the
 partition of variables into Basic (free) and AtLower/AtUpper (fixed at a
-bound); all equalities are permanently active.  Three entry modes exist:
+bound); all equalities are permanently active.  Two entry modes exist:
 
-* cold start: Phase-1 LP for feasibility, then primal active-set pivots;
-* PrimalStart: a warm basis (and optionally a point) that is primal
-  feasible, or repairable by bound projection plus Phase-1;
+* PrimalStart, warm or cold: Phase-1 projects the point (the origin for a
+  cold start) onto the working set's bounds and, only if the equalities
+  then fail, restarts from the vertex of a zero-objective LP; primal
+  active-set pivots follow;
 * DualStart: a warm basis whose reduced costs are (near) dual feasible,
   typically an optimal basis of the same problem with changed bounds; the
-  engine restores primal feasibility by fixing violated variables.
+  engine restores primal feasibility by fixing violated variables, and
+  falls back to Phase-1 when that runs out of pivots.
 
 Linear algebra: a dense LU factorization of the sigma-free reduced KKT
 system ``[[Q_FF, A_F'], [A_F, 0]]`` for the working set at the last
@@ -23,12 +25,19 @@ copy of it when its free set matches, so a warm QP that takes no pivots
 costs one solve and no factorization.  LPs (sigma = 0), Phase-1 included, are one-off cold solves
 in the HiGHS dual simplex (``solve_lp``), whose vertex and multipliers come
 back in the engine's conventions, ready to warm-start a QP.
+
+A KKT system found singular is recovered in one place, ``solve``: during
+the feasible start the engine drops the factor and runs Phase-1 again;
+inside the primal loop it builds a fresh factorization and resumes, provided
+a pivot was made since the last such recovery.  A system that stays
+singular raises ``SingularKktError``.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -36,7 +45,13 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from .model import InfeasibleError, LpFailureError, Polyhedron, QuadraticForm
+from .model import (
+    InfeasibleError,
+    LpFailureError,
+    Polyhedron,
+    QuadraticForm,
+    SingularKktError,
+)
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
@@ -44,7 +59,6 @@ COMP_TOL = 1e-9
 RATIO_TOL = 1e-11
 DEGEN_STEP = 1e-12
 BLAND_TRIGGER = 50
-MAX_BORDER = 100
 MAX_UPDATES = 100
 GROWTH_LIMIT = 1e8
 
@@ -63,12 +77,21 @@ class StartMode(Enum):
     DUAL_START = "DualStart"
 
 
-class _SingularKkt(RuntimeError):
-    """Internal: the bordered KKT system lost invertibility."""
-
-
 def _inf(v: np.ndarray) -> float:
     return float(np.max(np.abs(v), initial=0.0))
+
+
+def _lu(M: np.ndarray, rtol: float, what: str):
+    """LU factors of M; raises SingularKktError on a pivot below rtol times
+    the largest.  SciPy's warning for an exactly zero pivot is silenced,
+    since the pivot test reports that case."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu = scipy.linalg.lu_factor(M, check_finite=False)
+    du = np.abs(np.diag(lu[0]))
+    if du.size and (du.min() == 0.0 or du.min() < rtol * du.max()):
+        raise SingularKktError(f"{what} is singular")
+    return lu
 
 
 @dataclass
@@ -163,13 +186,7 @@ class _KktFactor:
             K0[:nb, nb:] = Afb.T
             K0[nb:, :nb] = Afb
         self.K0 = K0
-        if self.N0:
-            self.lu = scipy.linalg.lu_factor(K0, check_finite=False)
-            du = np.abs(np.diag(self.lu[0]))
-            if du.size and (du.min() == 0.0 or du.min() < 1e-14 * du.max()):
-                raise _SingularKkt("base KKT matrix is singular")
-        else:
-            self.lu = None
+        self.lu = _lu(K0, 1e-14, "base KKT matrix") if self.N0 else None
         self.border: list[tuple[str, int]] = []
         self.B = np.zeros((self.N0, 0))
         self.Y = np.zeros((self.N0, 0))
@@ -207,7 +224,7 @@ class _KktFactor:
     def _mark_update(self):
         self._s_lu = None
         self.updates += 1
-        if self.updates >= MAX_UPDATES or len(self.border) >= MAX_BORDER:
+        if self.updates >= MAX_UPDATES:
             self.needs_refactor = True
 
     def _append(self, entry, col, cross, diag):
@@ -273,15 +290,8 @@ class _KktFactor:
             w = np.zeros(0)
         else:
             if self._s_lu is None:
-                S = self.C - self.B.T @ self.Y
-                try:
-                    self._s_lu = scipy.linalg.lu_factor(S, check_finite=False)
-                except (scipy.linalg.LinAlgError, ValueError) as exc:
-                    raise _SingularKkt("border Schur complement failed") from exc
-                du = np.abs(np.diag(self._s_lu[0]))
-                if du.size and (du.min() == 0.0 or du.min() < 1e-13 * du.max()):
-                    self._s_lu = None
-                    raise _SingularKkt("border Schur complement is singular")
+                self._s_lu = _lu(self.C - self.B.T @ self.Y, 1e-13,
+                                 "border Schur complement")
             w = scipy.linalg.lu_solve(self._s_lu, rhsb - self.Y.T @ rhs0,
                                       check_finite=False)
             z = z - self.Y @ w
@@ -292,9 +302,9 @@ class _KktFactor:
                 r0 += self.B @ w
                 rb = self.B.T @ z + self.C @ w - rhsb
                 if _inf(rb) > 1e-7 * scale:
-                    raise _SingularKkt("bordered solve residual too large")
+                    raise SingularKktError("bordered solve residual too large")
             if _inf(r0) > 1e-7 * scale:
-                raise _SingularKkt("bordered solve residual too large")
+                raise SingularKktError("bordered solve residual too large")
         return z, w
 
 
@@ -332,9 +342,7 @@ class ActiveSetEngine:
         self._handed: _KktFactor | None = None  # the warm basis's factor
         self._degen_streak = 0
         self._bland = False
-        self._noise_mask = np.zeros(self.n, dtype=bool)
         self._rows_cache: np.ndarray | None = None
-        self._force_qr = False
         self._last_lam = np.zeros(self.m)
 
     # ------------------------------------------------------------------
@@ -358,19 +366,16 @@ class ActiveSetEngine:
     def _kept_rows(self) -> np.ndarray:
         """Equality rows kept in the working KKT system.
 
-        Rows that are linear combinations of the others on the non-pinned
-        columns are implied once the pinned (lower == upper) variables are
-        substituted; they are verified for consistency and dropped with zero
-        multipliers.  Without pinned variables the full row set is trusted
-        unless a singular factorization forced the rank-revealing path.
+        A pivoted QR finds the rows that are linear combinations of the
+        others on the non-pinned columns: duplicate or dependent rows, and
+        rows implied once the pinned (lower == upper) variables are
+        substituted.  They are verified for consistency and dropped with
+        zero multipliers.  Runs once per engine, on its first fresh build.
         """
         if self._rows_cache is not None:
             return self._rows_cache
         if self.m == 0:
             self._rows_cache = np.zeros(0, dtype=int)
-            return self._rows_cache
-        if not self.pinned.any() and not self._force_qr:
-            self._rows_cache = np.arange(self.m)
             return self._rows_cache
         live = np.flatnonzero(~self.pinned)
         M = self.A[:, live]
@@ -378,7 +383,7 @@ class ActiveSetEngine:
         if live.size == 0:
             rank, piv = 0, np.arange(self.m)
         else:
-            _, r, piv = scipy.linalg.qr(M.T, mode="economic", pivoting=True)
+            r, piv = scipy.linalg.qr(M.T, mode="r", pivoting=True)
             diag = np.abs(np.diag(r))
             tol = 1e-11 * max(1.0, diag.max(initial=0.0))
             rank = int(np.sum(diag > tol))
@@ -419,7 +424,7 @@ class ActiveSetEngine:
         candidates = np.flatnonzero((self.status != BASIC) & ~self.pinned)
         while rank < rows.size:
             if candidates.size == 0:
-                raise _SingularKkt(
+                raise SingularKktError(
                     "equality rows cannot be spanned by releasable variables"
                 )
             R = self.A[np.ix_(rows, candidates)]
@@ -427,7 +432,7 @@ class ActiveSetEngine:
             norms = np.linalg.norm(resid, axis=0)
             best = int(np.argmax(norms))
             if norms[best] <= 1e-10 * (1.0 + float(np.abs(R).max(initial=0.0))):
-                raise _SingularKkt("equality rows are linearly dependent")
+                raise SingularKktError("equality rows are linearly dependent")
             j = int(candidates[best])
             self.status[j] = BASIC
             u_new = resid[:, best] / norms[best]
@@ -509,13 +514,6 @@ class ActiveSetEngine:
             lam[fac.rows] = -self.sigma * z[fac.nb:]
         return p, lam
 
-    def _direction_robust(self, d, eq_resid=None, validate=False):
-        try:
-            return self._direction(d, eq_resid, validate)
-        except _SingularKkt:
-            self._refactor()
-            return self._direction(d, eq_resid, validate)
-
     # ------------------------------------------------------------------
     # Primal active-set loop
     # ------------------------------------------------------------------
@@ -570,7 +568,7 @@ class ActiveSetEngine:
                 self._last_lam = lam
                 return QpStatus.ITER_LIMIT
             if not at_opt:
-                p, lam = self._direction_robust(d, validate=True)
+                p, lam = self._direction(d, validate=True)
                 if _inf(p[self._free_idx()]) > 1e-11 * (1.0 + _inf(self.x)):
                     alpha_max, blocker, side = self._ratio_test(p)
                     alpha = min(1.0, alpha_max)
@@ -597,13 +595,11 @@ class ActiveSetEngine:
                 return QpStatus.OPTIMAL
             self._free_var(j)
             self._count_pivot(("drop", int(j), int(side_viol)), 0.0)
-            if self._pin_stall(j, d):
-                continue
             at_opt = False
 
     def _worst_violation(self, rc: np.ndarray) -> tuple[int | None, int]:
         viol_tol = 0.5 * OPT_TOL
-        scan = (self.status != BASIC) & ~self.pinned & ~self._noise_mask
+        scan = (self.status != BASIC) & ~self.pinned
         viol = np.where(self.status == AT_LOWER, -rc, rc)
         viol[~scan] = -math.inf
         if self._bland:
@@ -616,22 +612,6 @@ class ActiveSetEngine:
             if viol[j] <= viol_tol:
                 return None, AT_LOWER
         return j, int(self.status[j])
-
-    def _pin_stall(self, j: int, d: np.ndarray) -> bool:
-        """Re-fix a freed variable whose admissible step is pure round-off.
-
-        If releasing j admits essentially no movement its reduced-cost
-        violation sits at the noise floor; exclude it from further scans so
-        the solve terminates instead of cycling on the same variable.
-        """
-        p, _ = self._direction_robust(d)
-        if _inf(p[self._free_idx()]) > 1e-13 * (1.0 + _inf(self.x)):
-            return False
-        side = AT_LOWER if abs(self.x[j] - self.lower[j]) <= abs(
-            self.x[j] - self.upper[j]) else AT_UPPER
-        self._fix_var(j, side)
-        self._noise_mask[j] = True
-        return True
 
     def _count_pivot(self, entry, alpha: float):
         self.pivots += 1
@@ -650,21 +630,15 @@ class ActiveSetEngine:
     # Dual start: restore primal feasibility by fixing violated variables
     # ------------------------------------------------------------------
 
-    def _dual_loop(self) -> str:
-        last_fix: int | None = None
+    def _dual_loop(self) -> bool:
+        """Factor the warm basis, then fix the free variable that violates
+        its bound most until the equality-restoring step lands inside the
+        bounds.  Returns whether it did so within the pivot cap."""
+        self._build_factor()
         for _ in range(self.pivot_cap + 1):
             d = self._gradient()
             resid = self.poly.b - self.A @ self.x if self.m else None
-            try:
-                p, _ = self._direction(d, resid, validate=True)
-            except _SingularKkt:
-                try:
-                    self._refactor()
-                    p, _ = self._direction(d, resid, validate=True)
-                except _SingularKkt:
-                    if last_fix is not None:
-                        self.status[last_fix] = BASIC
-                    return "fallback"
+            p, _ = self._direction(d, resid, validate=True)
             xn = self.x + p
             free = self._free_idx()
             ftol = FEAS_TOL * (1.0 + _inf(xn))
@@ -680,15 +654,10 @@ class ActiveSetEngine:
             self.x = xn
             if worst is None:
                 np.clip(self.x, self.lower, self.upper, out=self.x)
-                return "feasible"
-            try:
-                self._fix_var(worst, worst_side)
-            except _SingularKkt:
-                self.status[worst] = BASIC
-                return "fallback"
+                return True
+            self._fix_var(worst, worst_side)
             self._count_pivot(("dfix", worst, int(worst_side)), 1.0)
-            last_fix = worst
-        return "fallback"
+        return False
 
     # ------------------------------------------------------------------
     # Phase 1: a feasible vertex from a zero-objective LP
@@ -697,11 +666,7 @@ class ActiveSetEngine:
     def _phase1(self):
         """Project x onto its working set's bounds; if the equalities still
         fail, restart from the vertex of a zero-objective LP.  Then factor."""
-        np.clip(self.x, self.lower, self.upper, out=self.x)
-        at_lo = self.status == AT_LOWER
-        at_up = self.status == AT_UPPER
-        self.x[at_lo] = self.lower[at_lo]
-        self.x[at_up] = self.upper[at_up]
+        self._project()
         r0 = self.poly.b - self.A @ self.x
         if _inf(r0) > FEAS_TOL * (1.0 + _inf(self.poly.b)):
             self.used_phase1 = True
@@ -713,6 +678,14 @@ class ActiveSetEngine:
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
+
+    def _project(self):
+        """Clip x into its bounds and put fixed variables on theirs."""
+        np.clip(self.x, self.lower, self.upper, out=self.x)
+        at_lo = self.status == AT_LOWER
+        at_up = self.status == AT_UPPER
+        self.x[at_lo] = self.lower[at_lo]
+        self.x[at_up] = self.upper[at_up]
 
     def _normalize_basis(self, warm, warm_x):
         if warm is not None:
@@ -729,92 +702,51 @@ class ActiveSetEngine:
                 raise ValueError("warm point has wrong length")
         else:
             self.x = np.zeros(self.n)
-            free = self.status == BASIC
-            self.x[free] = np.clip(0.0, self.lower[free], self.upper[free])
-        at_lo = self.status == AT_LOWER
-        at_up = self.status == AT_UPPER
-        self.x[at_lo] = self.lower[at_lo]
-        self.x[at_up] = self.upper[at_up]
-        np.clip(self.x, self.lower, self.upper, out=self.x)
-
-    def _primal_feasibility(self, warm):
-        """Make self.x primal feasible, repairing the warm basis if needed."""
-        if warm is None:
-            self._phase1()
-            return
-        bscale = 1.0 + _inf(self.poly.b)
-        resid = self.poly.b - self.A @ self.x if self.m else np.zeros(0)
-        if _inf(resid) <= FEAS_TOL * bscale:
-            self._build_factor()
-            return
-        # statuses are valid but equalities drifted (e.g. bound values moved):
-        # try one restoration step through the free variables before Phase-1
-        try:
-            self._build_factor()
-            p, _ = self._direction(np.zeros(self.n), resid, validate=True)
-            xn = self.x + p
-            ftol = FEAS_TOL * (1.0 + _inf(xn))
-            if (np.all(xn >= self.lower - ftol)
-                    and np.all(xn <= self.upper + ftol)
-                    and _inf(self.poly.b - self.A @ xn) <= FEAS_TOL * bscale):
-                self.x = np.clip(xn, self.lower, self.upper)
-                return
-        except _SingularKkt:
-            pass
-        self._phase1()
+        self._project()
 
     def solve(self, warm: WorkingBasis | None = None,
               mode: StartMode = StartMode.PRIMAL_START,
               warm_x: np.ndarray | None = None) -> QpSolution:
         self._normalize_basis(warm, warm_x)
         self._handed = warm.factor if warm is not None else None
-        dual_ok = mode == StartMode.DUAL_START and warm is not None
         try:
             try:
-                if dual_ok:
-                    self._build_factor()
-                    if self._dual_loop() == "fallback":
-                        self._phase1()
-                else:
-                    self._primal_feasibility(warm)
-                state = self._primal_loop()
-            except _SingularKkt:
-                # last resort: rank-revealing row analysis plus Phase-1
-                self._force_qr = True
-                self._rows_cache = None
-                self.factor = None
-                self._phase1()
-                state = self._primal_loop()
+                if not (mode == StartMode.DUAL_START and warm is not None
+                        and self._dual_loop()):
+                    self._phase1()
+            except SingularKktError:
+                self._phase1()  # builds a fresh factor
+            state, resumed_at = None, None
+            while state is None:
+                try:
+                    state = self._primal_loop()
+                except SingularKktError:
+                    if self.pivots == resumed_at:
+                        raise  # no pivot since the last refactorization
+                    resumed_at = self.pivots
+                    self._refactor()
         except InfeasibleError:
             return self._package(np.zeros(self.m), QpStatus.INFEASIBLE)
         return self._package(self._last_lam, state)
 
     def _package(self, lam: np.ndarray, state: QpStatus) -> QpSolution:
-        if state == QpStatus.INFEASIBLE:
-            return QpSolution(
-                x=self.x.copy(), lam=np.zeros(self.m),
-                mu_lower=np.zeros(self.n), mu_upper=np.zeros(self.n),
-                objective=math.inf, basis=WorkingBasis(self.status.copy()),
-                iterations=self.pivots, status=state,
-                used_phase1=self.used_phase1, factor_reused=self.factor_reused,
-                pivot_log=list(self.pivot_log),
-                objective_trace=list(self.obj_trace),
-            )
-        d = self._gradient()
-        rc = d - self.A.T @ lam if self.m else d.copy()
         mu_lower = np.zeros(self.n)
         mu_upper = np.zeros(self.n)
-        at_lo = (self.status == AT_LOWER) & ~self.pinned
-        at_up = (self.status == AT_UPPER) & ~self.pinned
-        mu_lower[at_lo] = np.maximum(rc[at_lo], 0.0)
-        mu_upper[at_up] = np.maximum(-rc[at_up], 0.0)
-        mu_lower[self.pinned] = np.maximum(rc[self.pinned], 0.0)
-        mu_upper[self.pinned] = np.maximum(-rc[self.pinned], 0.0)
-        fac = self.factor
-        handover = fac if fac is not None and not fac.needs_refactor else None
+        objective, handover = math.inf, None
+        if state != QpStatus.INFEASIBLE:
+            rc = self._gradient() - self.A.T @ lam
+            at_lo = (self.status == AT_LOWER) & ~self.pinned
+            at_up = (self.status == AT_UPPER) & ~self.pinned
+            mu_lower[at_lo] = np.maximum(rc[at_lo], 0.0)
+            mu_upper[at_up] = np.maximum(-rc[at_up], 0.0)
+            mu_lower[self.pinned] = np.maximum(rc[self.pinned], 0.0)
+            mu_upper[self.pinned] = np.maximum(-rc[self.pinned], 0.0)
+            objective = self.p.objective(self.x)
+            if self.factor is not None and not self.factor.needs_refactor:
+                handover = self.factor
         return QpSolution(
             x=self.x.copy(), lam=lam.copy(), mu_lower=mu_lower,
-            mu_upper=mu_upper, objective=self.p.objective(self.x),
+            mu_upper=mu_upper, objective=objective,
             basis=WorkingBasis(self.status.copy(), handover),
             iterations=self.pivots, status=state,
             used_phase1=self.used_phase1, factor_reused=self.factor_reused,
@@ -872,14 +804,15 @@ def solve_qp(problem: QpProblem, warm: WorkingBasis | None = None,
     """Solve a convex QP over {Ax = b, l <= x <= u} with the active-set engine.
 
     ``warm`` carries the variable statuses of a related solve.  PrimalStart
-    restores primal feasibility first (bound projection, then Phase-1 if
-    necessary); DualStart treats the basis as dual feasible and fixes
+    restores primal feasibility first through Phase-1 (bound projection,
+    then the LP vertex only if the equalities fail; a cold start always
+    needs the LP); DualStart treats the basis as dual feasible and fixes
     bound-violating variables until primal feasible, which is the cheap
-    restart after tightening bounds.  Cold starts take a Phase-1 vertex
-    and then run the primal loop.  LPs (sigma = 0) go to ``solve_lp``,
+    restart after tightening bounds.  LPs (sigma = 0) go to ``solve_lp``,
     which solves cold, ignores the warm-start and pivot arguments, and
     raises where the engine returns a status.  A Phase-1 LP that HiGHS
-    leaves unsolved raises ``LpFailureError``.
+    leaves unsolved raises ``LpFailureError``; a KKT system that stays
+    singular through the engine's recovery raises ``SingularKktError``.
     """
     if problem.sigma == 0:
         return solve_lp(problem)

@@ -12,10 +12,15 @@ Two drivers share the QP engine:
 
 Both report a KKT certificate for the conic problem, with the dual
 feasibility estimate qp_eps + (|dt|/t) * ||grad f||_inf as the convergence
-measure.  Both start, unless given a starting t, from the LP relaxation,
+measure.  A run that would stop as solved but has no certificate at its
+point (it is off ``Ax = b`` by more than 1e-7, say) reports Uncertified.
+Both use one T-zero test: x'Qx at or below ``QZERO_TOL``, where grad f is
+undefined; such a run returns its point with status TZero and no
+certificate.  Both start, unless given a starting t, from the LP relaxation,
 which HiGHS solves once (``solve_lp``); ``qp_count``, ``qp_pivots``,
 ``pivot_count`` and ``phase1_count`` count the engine's QPs only.  An LP
-that HiGHS leaves without an optimal vertex raises ``LpFailureError``.
+that HiGHS leaves without an optimal vertex raises ``LpFailureError``, and
+a QP whose KKT system stays singular raises ``SingularKktError``.
 """
 
 from __future__ import annotations
@@ -30,17 +35,15 @@ from .model import (
     ConicSolveResult,
     InfeasibleError,
     KktCertificate,
+    QZERO_TOL,
     SolveStatus,
     ZeroQuadraticError,
     dual_bound_estimate,
     eval_objective,
-    grad_f,
     kkt_residual,
     subproblem_objective,
 )
 from .qp import QpSolution, QpStatus, StartMode, WorkingBasis, solve_lp, solve_qp
-
-T_FLOOR = 1e-10
 
 
 @dataclass
@@ -51,7 +54,6 @@ class CdOptions:
     delta: float = 1e-5
     qp_eps: float = 1e-9
     max_outer: int = 1000
-    t_floor: float = T_FLOOR
 
     def __post_init__(self):
         if self.t0 is not None and not self.t0 > 0:
@@ -98,23 +100,35 @@ def _statuses(sol: QpSolution | None) -> WorkingBasis | None:
     return WorkingBasis(sol.basis.status) if sol is not None else None
 
 
-def _certificate(inst: ConicInstance, x: np.ndarray, sol: QpSolution) -> KktCertificate | None:
+def _scale(inst: ConicInstance, x: np.ndarray) -> tuple[float, bool]:
+    """t = sqrt(x'Qx), and whether x'Qx passes the T-zero test."""
+    xqx = inst.q.quad(x)
+    return math.sqrt(max(xqx, 0.0)), xqx <= QZERO_TOL
+
+
+def _certified(inst: ConicInstance, x: np.ndarray, sol: QpSolution | None,
+               status: SolveStatus) -> tuple[KktCertificate | None, SolveStatus]:
+    """The KKT certificate of a finished run and its final status: a solved
+    status without a certificate at x becomes Uncertified."""
+    if status == SolveStatus.T_ZERO or sol is None:
+        return None, status
     cert = KktCertificate(lam=sol.lam, mu_lower=sol.mu_lower, mu_upper=sol.mu_upper)
     try:
         kkt_residual(inst, x, cert)
     except (ZeroQuadraticError, ValueError):
-        return None
-    return cert
+        if status in (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED):
+            status = SolveStatus.UNCERTIFIED
+        return None, status
+    return cert, status
 
 
 def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
              warm: tuple[WorkingBasis, float] | None = None) -> ConicSolveResult:
     """Coordinate descent on the perspective reformulation.
 
-    Stops when the dual-feasibility estimate drops below ``opt.delta``, when
-    the relative t-change passes the simpler test |dt/t| <= (delta - eps)/k
-    with k a running bound on ||grad f||, or when t collapses to (numerical)
-    zero, in which case the current point is returned with status TZero.
+    Stops when the dual-feasibility estimate drops below ``opt.delta``, or
+    when x'Qx collapses to (numerical) zero, in which case the current point
+    is returned with status TZero.
     """
     opt = opt or CdOptions()
     trace: list[tuple[float, float]] = []
@@ -134,8 +148,8 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
         mode = StartMode.DUAL_START
     elif opt.t0 is None:
         lp = _lp_relaxation(inst)
-        t_lp = math.sqrt(max(inst.q.quad(lp.x), 0.0))
-        if t_lp < opt.t_floor:
+        t_lp, zero = _scale(inst, lp.x)
+        if zero:
             return ConicSolveResult(
                 x=lp.x, t=t_lp, objective=eval_objective(inst, lp.x),
                 kkt=None, qp_count=0, pivot_count=0, trace=trace,
@@ -153,7 +167,6 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
     status = SolveStatus.ITER_LIMIT
     stop_reason = "iter_limit"
     t_out = t_i
-    grad_cap = 0.0  # running bound on ||grad f||_inf for the simpler stop test
     for _ in range(opt.max_outer):
         qp = subproblem_objective(inst, t_i)
         if prev is not None:
@@ -179,31 +192,19 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
         if sol.status == QpStatus.ITER_LIMIT:
             status, stop_reason, t_out = SolveStatus.ITER_LIMIT, "qp_iter_limit", t_i
             break
-        t_next = math.sqrt(max(inst.q.quad(x), 0.0))
-        if t_next < opt.t_floor:
+        t_next, zero = _scale(inst, x)
+        if zero:
             status, stop_reason, t_out = SolveStatus.T_ZERO, "t_zero", t_next
             break
-        rel = abs(t_next - t_i) / t_i
-        try:
-            est = dual_bound_estimate(inst, x, t_i, t_next, opt.qp_eps)
-            grad_cap = max(grad_cap, float(np.max(np.abs(grad_f(inst, x)))))
-        except ZeroQuadraticError:
-            est = math.inf
+        est = dual_bound_estimate(inst, x, t_i, t_next, opt.qp_eps)
         prev = sol
         t_i = t_next
         t_out = t_next
         if est <= opt.delta:
             status, stop_reason = SolveStatus.OPTIMAL, "dual_bound"
             break
-        # the simpler test |dt/t| <= (delta - eps) / k, with k a bound on
-        # ||grad f||; only decisive when the gradient itself is unavailable
-        if grad_cap > 0 and rel <= (opt.delta - opt.qp_eps) / grad_cap:
-            status, stop_reason = SolveStatus.TOLERANCE_REACHED, "t_rel_change"
-            break
 
-    kkt = None
-    if status != SolveStatus.T_ZERO and sol is not None:
-        kkt = _certificate(inst, x, sol)
+    kkt, status = _certified(inst, x, sol, status)
     return ConicSolveResult(
         x=x.copy(), t=t_out, objective=eval_objective(inst, x), kkt=kkt,
         qp_count=qp_count, pivot_count=sum(qp_pivots), trace=trace,
@@ -252,7 +253,7 @@ def solve_bisection(inst: ConicInstance,
     else:
         t_max = float(opt.t_max0)
 
-    if t_max < T_FLOOR:
+    if t_max * t_max <= QZERO_TOL:  # t_max bounds the optimal sqrt(x'Qx)
         x0 = incumbent_x if incumbent_x is not None else _lp_relaxation(inst).x
         return ConicSolveResult(
             x=x0, t=math.sqrt(max(inst.q.quad(x0), 0.0)),
@@ -282,8 +283,8 @@ def solve_bisection(inst: ConicInstance,
             stop_reason = "qp_iter_limit"
             break
         x0 = sol.x
-        t1 = math.sqrt(max(inst.q.quad(x0), 0.0))
-        if t1 < T_FLOOR:
+        t1, zero = _scale(inst, x0)
+        if zero:
             incumbent_x, incumbent_sol = x0, sol
             status, stop_reason = SolveStatus.T_ZERO, "t_zero"
             break
@@ -294,10 +295,7 @@ def solve_bisection(inst: ConicInstance,
             t_max = t1          # t0 was above the minimizer, and so is t1
             x_high_side = x0
         interval_trace.append((t_min, t_max))
-        try:
-            est = dual_bound_estimate(inst, x0, t0, t1, opt.qp_eps)
-        except ZeroQuadraticError:
-            est = math.inf
+        est = dual_bound_estimate(inst, x0, t0, t1, opt.qp_eps)
         z0 = eval_objective(inst, x0)
         if z0 <= incumbent_obj:
             incumbent_x, incumbent_obj, incumbent_sol = x0, z0, sol
@@ -321,9 +319,7 @@ def solve_bisection(inst: ConicInstance,
             break
         prev = sol
 
-    kkt = None
-    if status != SolveStatus.T_ZERO and incumbent_sol is not None:
-        kkt = _certificate(inst, incumbent_x, incumbent_sol)
+    kkt, status = _certified(inst, incumbent_x, incumbent_sol, status)
     return ConicSolveResult(
         x=incumbent_x.copy(), t=math.sqrt(max(inst.q.quad(incumbent_x), 0.0)),
         objective=eval_objective(inst, incumbent_x), kkt=kkt,

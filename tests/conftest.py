@@ -1,9 +1,14 @@
-"""Shared fixtures."""
+"""Shared fixtures and the hypothesis profile."""
 
 import pytest
+from hypothesis import settings
 
 import conicqp.solvers
 from conicqp import StartMode
+
+# the same examples on every run: tier-1 must not depend on a random draw
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

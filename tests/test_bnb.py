@@ -1,17 +1,20 @@
 """Branch-and-bound driver and the enumeration oracle."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+import conicqp.bnb
 from conicqp import (
     BnbOptions,
     BnbStatus,
     ConicInstance,
     Polyhedron,
     QuadraticForm,
+    SolveStatus,
     branch_select,
     enumeration_oracle,
     eval_objective,
@@ -242,3 +245,16 @@ class TestUncertifiedRelaxations:
         assert res.uncertified_nodes == 0
         assert res.status in (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
         assert abs(res.incumbent_obj - opt) <= 1e-4 * abs(opt)
+
+    def test_uncertified_status_never_prunes_or_bounds(self, monkeypatch):
+        real = conicqp.bnb.solve_cd
+
+        def uncertified(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, status=SolveStatus.UNCERTIFIED)
+
+        monkeypatch.setattr(conicqp.bnb, "solve_cd", uncertified)
+        res = solve_bnb(seeded_card(2, n=8))
+        assert res.uncertified_nodes == res.nodes_processed > 1
+        assert res.best_bound == -math.inf
+        assert res.status == BnbStatus.UNCERTIFIED

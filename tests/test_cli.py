@@ -10,6 +10,9 @@ import pytest
 from conicqp import ConicInstance, Polyhedron, QuadraticForm, save_instance
 from conicqp.cli import EXIT_INFEASIBLE, EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
 
+from test_bad_inputs import bad_instance
+from test_solvers import singular_instance
+
 
 def write_simplex_instance(path, c=(0.0, 0.0), omega=1.0):
     q = QuadraticForm(F=np.zeros((2, 1)), sigma_factor=np.zeros((1, 1)),
@@ -123,6 +126,23 @@ class TestSolve:
                            "nodes", "objective", "kkt_residual", "egap",
                            "solved"]
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("alg", ["cd", "bisect"])
+    def test_singular_kkt_exit_code(self, tmp_path, capsys, alg):
+        path = tmp_path / "singular.json"
+        save_instance(singular_instance(), path)
+        rc = main(["solve", "--alg", alg, "--instance", str(path)])
+        assert rc == EXIT_LIMIT
+        assert "QP not solved" in capsys.readouterr().err
+
+    def test_uncertified_not_solved(self, tmp_path, capsys):
+        path = tmp_path / "offset.json"
+        save_instance(bad_instance(seed=4797, rows="card", pins=0,
+                                   extra="none", d_scale=1e-10, costs="tied",
+                                   omega=1e-6), path)
+        rc = main(["solve", "--alg", "bisect", "--instance", str(path)])
+        assert rc == EXIT_LIMIT
+        assert "status        Uncertified" in capsys.readouterr().out
 
 
 class TestBnb:

@@ -7,20 +7,24 @@ from scipy.optimize import OptimizeResult
 import conicqp.qp
 import conicqp.solvers
 from conicqp import (
+    ConicInstance,
     LpFailureError,
     Polyhedron,
     QpProblem,
     QpStatus,
     QuadraticForm,
+    SingularKktError,
+    SolveStatus,
     StartMode,
     reoptimize_after_bound_change,
     solve_cd,
     solve_qp,
 )
-from conicqp.generate import GenSpec, gen_grid_path, gen_quadratic
-from conicqp.qp import BASIC, ActiveSetEngine
+from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path, gen_quadratic
+from conicqp.qp import BASIC, MAX_UPDATES, ActiveSetEngine, _KktFactor
 
 from oracles import enumerate_tiny_qp, projected_gradient_qp
+from test_bad_inputs import bad_instance
 
 
 def identity_form(n):
@@ -365,3 +369,111 @@ class TestFactorHandover:
                              warm_x=fresh.x)
             np.testing.assert_array_equal(got.x, alone.x)
             assert got.pivot_log == alone.pivot_log
+
+
+def assert_certified(inst, res):
+    assert res.status in (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED)
+    assert res.kkt is not None and res.kkt.residual_inf <= 1e-5
+    assert inst.poly.contains(res.x, tol=1e-7)
+
+
+def spy(monkeypatch, name, after):
+    """Wrap ActiveSetEngine.<name>; ``after(engine, result)`` sees each
+    call that returns."""
+    real = getattr(ActiveSetEngine, name)
+
+    def wrapper(self, *args):
+        out = real(self, *args)
+        after(self, out)
+        return out
+
+    monkeypatch.setattr(ActiveSetEngine, name, wrapper)
+
+
+class TestRecoveryPaths:
+    """Each recovery path the engine keeps runs on a named instance."""
+
+    def test_bland_mode(self, monkeypatch):
+        modes = []
+        spy(monkeypatch, "_count_pivot", lambda eng, _: modes.append(eng._bland))
+        inst = bad_instance(seed=1715, rows="dense", pins=0, extra="none",
+                            d_scale=1e-10, costs="tied", omega=1e-6)
+        res = solve_cd(inst)
+        assert any(modes)
+        assert_certified(inst, res)
+
+    def test_growth_trigger(self, monkeypatch):
+        triggers, refactors = [], []
+        real = _KktFactor._append
+
+        def appending(fac, *args):
+            real(fac, *args)
+            # below the update cap only the growth monitor asks to refactor
+            triggers.append(fac.needs_refactor and fac.updates < MAX_UPDATES)
+
+        monkeypatch.setattr(_KktFactor, "_append", appending)
+        spy(monkeypatch, "_refactor", lambda eng, _: refactors.append(1))
+        inst = bad_instance(seed=384, rows="card", pins=0, extra="duplicate",
+                            d_scale=1e-10, costs="tied", omega=1e-6)
+        res = solve_cd(inst)
+        assert sum(triggers) > 0
+        assert len(refactors) >= sum(triggers)
+        assert_certified(inst, res)
+
+    def test_primal_loop_refactor_resumes(self, monkeypatch):
+        events = []
+        real = ActiveSetEngine._primal_loop
+
+        def looping(eng):
+            try:
+                out = real(eng)
+            except SingularKktError:
+                events.append("singular")
+                raise
+            events.append("done")
+            return out
+
+        monkeypatch.setattr(ActiveSetEngine, "_primal_loop", looping)
+        inst = bad_instance(seed=1678, rows="dense", pins=1, extra="duplicate",
+                            d_scale=0.0, costs="tied", omega=1e-6)
+        res = solve_cd(inst)
+        assert ("singular", "done") in zip(events, events[1:])
+        assert_certified(inst, res)
+
+    def test_dependent_rows_dropped_up_front(self, monkeypatch):
+        inst = gen_cardinality(GenSpec(family="cardinality", n=30, r=5,
+                                       alpha=0.3, omega=2.0, seed=3))
+        poly = inst.poly
+        twice = ConicInstance(
+            c=inst.c, omega=inst.omega, q=inst.q,
+            poly=Polyhedron(np.vstack([poly.A, poly.A]), np.r_[poly.b, poly.b],
+                            poly.lower, poly.upper))
+        once = solve_cd(inst)
+        solves, starts, kept = [], [], []
+        spy(monkeypatch, "solve", lambda eng, _: solves.append(1))
+        spy(monkeypatch, "_phase1", lambda eng, _: starts.append(1))
+        spy(monkeypatch, "_kept_rows", lambda eng, rows: kept.append(rows.size))
+        res = solve_cd(twice)
+        assert set(kept) == {1}
+        assert len(starts) == len(solves) > 0  # no Phase-1 restart
+        assert_certified(twice, res)
+        assert res.objective == pytest.approx(once.objective, rel=1e-9)
+
+    def test_capped_dual_start_falls_back_to_phase1(self, monkeypatch,
+                                                     capped_dual_starts):
+        inst = gen_cardinality(GenSpec(family="cardinality", n=30, r=5,
+                                       alpha=0.3, omega=2.0, seed=3))
+        base = solve_cd(inst)
+        lower = inst.poly.lower.copy()
+        lower[np.flatnonzero(base.x < 1e-9)[:2]] = 1.0
+        tight = ConicInstance(c=inst.c, omega=inst.omega, q=inst.q,
+                              poly=Polyhedron(inst.poly.A, inst.poly.b,
+                                              lower, inst.poly.upper))
+        calls = []
+        spy(monkeypatch, "_dual_loop", lambda eng, ok: calls.append(ok))
+        spy(monkeypatch, "_phase1", lambda eng, _: calls.append("phase1"))
+        res = solve_cd(tight, warm=(base.basis, base.t))
+        assert calls[:2] == [False, "phase1"]
+        # the capped QP stops at its limit, typed, at Phase-1's feasible point
+        assert res.status == SolveStatus.ITER_LIMIT
+        assert tight.poly.contains(res.x, tol=1e-9)

@@ -15,6 +15,7 @@ from conicqp import (
     LpFailureError,
     Polyhedron,
     QuadraticForm,
+    SingularKktError,
     SolveStatus,
     eval_objective,
     init_tmax_from_lp,
@@ -22,9 +23,11 @@ from conicqp import (
     solve_cd,
 )
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path
+from conicqp.model import QZERO_TOL
 from conicqp.qp import BASIC
 
 from oracles import golden_section_g
+from test_bad_inputs import bad_instance
 
 
 def identity_form(n):
@@ -47,6 +50,16 @@ def seeded(seed, family="cardinality", n=30, grid=(4, 4), r=5, alpha=0.3,
     return gen_grid_path(GenSpec(family=family, p=grid[0], q=grid[1], r=r,
                                  alpha=alpha, omega=omega, seed=seed,
                                  discrete=discrete))
+
+
+def singular_instance():
+    """Rank-one Q (D = 0) and tied costs: the LP leaves all four variables
+    free, and Q_FF is singular on the null space of sum(x) = 2."""
+    q = QuadraticForm(F=np.array([[1.0], [2.0], [3.0], [4.0]]),
+                      sigma_factor=np.ones((1, 1)), D=np.zeros(4))
+    poly = Polyhedron(A=np.ones((1, 4)), b=[2.0], lower=np.zeros(4),
+                      upper=np.ones(4))
+    return ConicInstance(c=-np.ones(4), omega=1.0, q=q, poly=poly)
 
 
 class TestOptions:
@@ -232,3 +245,32 @@ class TestWarmStartBehavior:
             assert res.basis is not None and res.basis.factor is None
             resumed = solve_cd(inst, warm=(res.basis, res.t))
             assert resumed.basis.factor is None
+
+
+class TestTypedOutcomes:
+    """A stop without a certificate is never reported as solved."""
+
+    @pytest.mark.parametrize("solver", [solve_cd, solve_bisection])
+    def test_singular_kkt_raises_typed_error(self, solver):
+        with pytest.raises(SingularKktError):
+            solver(singular_instance())
+
+    def test_point_off_the_equalities_is_uncertified(self):
+        # omega = 1e-6 and D = 1e-10: the last QP ends Optimal at a point
+        # 4e-7 off sum(x) = 2, which kkt_residual refuses
+        inst = bad_instance(seed=4797, rows="card", pins=0, extra="none",
+                            d_scale=1e-10, costs="tied", omega=1e-6)
+        res = solve_bisection(inst)
+        assert not inst.poly.contains(res.x, tol=1e-7)
+        assert res.status == SolveStatus.UNCERTIFIED
+        assert res.kkt is None
+
+    def test_one_t_zero_threshold(self):
+        # x'Qx falls below QZERO_TOL, where grad f is undefined, while
+        # t = sqrt(x'Qx) is still far above 1e-10
+        inst = bad_instance(seed=6391, rows="dense", pins=0, extra="duplicate",
+                            d_scale=1e-10, costs="random", omega=1e6)
+        res = solve_cd(inst)
+        assert res.status == SolveStatus.T_ZERO
+        assert 1e-20 < inst.q.quad(res.x) <= QZERO_TOL
+        assert res.kkt is None
