@@ -17,12 +17,16 @@ bound); all equalities are permanently active.  Two entry modes exist:
 Linear algebra: a dense LU factorization of the sigma-free reduced KKT
 system ``[[Q_FF, A_F'], [A_F, 0]]`` for the working set at the last
 refactorization, bordered through a Schur complement for subsequent single
-working-set changes; each direction solve scales its right-hand side by
-``1/sigma``.  The system is refactorized from scratch every 100 updates or
-when a growth monitor exceeds 1e8.  A solution's basis carries its final
-factor, and the next QP on the same polyhedron and quadratic form adopts a
-copy of it when its free set matches, so a warm QP that takes no pivots
-costs one solve and no factorization.  LPs (sigma = 0), Phase-1 included, are one-off cold solves
+working-set changes; the Schur complement gains or loses one row and one
+column per change instead of being formed again, and each direction solve
+scales its right-hand side by ``1/sigma``.  The system is refactorized from
+scratch every 100 updates or when a growth monitor exceeds 1e8.  The first
+fresh build of a solve keeps every equality row after one pivoted QR when
+the free columns span them all, and runs the full row analysis otherwise.
+A solution's basis carries its final factor, and the next QP on the same
+polyhedron and quadratic form adopts a copy of it when its free set
+matches, so a warm QP that takes no pivots costs one solve and no
+factorization.  LPs (sigma = 0), Phase-1 included, are one-off cold solves
 in the HiGHS dual simplex (``solve_lp``), whose vertex and multipliers come
 back in the engine's conventions, ready to warm-start a QP.
 
@@ -164,7 +168,15 @@ class _KktFactor:
     serves every ``sigma``.  Later working-set changes append border
     entries: ('fix', j) adds a unit constraint pinning a base variable,
     ('free', j) adds the KKT column of a newly freed variable.  Solves go
-    through the Schur complement of the border block.
+    through the Schur complement ``S = C - B'Y`` of the border block, with
+    ``Y = K0^-1 B``; ``S`` is kept up to date, one row and one column per
+    border change, in the manner of the Schur-complement QP method of Gill,
+    Murray, Saunders and Wright (1990), and LU-factored when a solve needs it.
+
+    The border arrays hold one border entry per row of ``_bt`` (B'), ``_yt``
+    (Y') and per row and column of ``_c`` (C) and ``_s`` (S), with spare
+    rows that double when full; ``B``, ``Y``, ``C`` and ``S`` are views of
+    the live part.
 
     A factor refers to the polyhedron, quadratic form and pinned mask it was
     built on, never to an engine, so a solution can hand it to the next QP.
@@ -188,19 +200,42 @@ class _KktFactor:
         self.K0 = K0
         self.lu = _lu(K0, 1e-14, "base KKT matrix") if self.N0 else None
         self.border: list[tuple[str, int]] = []
-        self.B = np.zeros((self.N0, 0))
-        self.Y = np.zeros((self.N0, 0))
-        self.C = np.zeros((0, 0))
+        self._bt = np.zeros((4, self.N0))
+        self._yt = np.zeros((4, self.N0))
+        self._c = np.zeros((4, 4))
+        self._s = np.zeros((4, 4))
         self._s_lu = None
         self.updates = 0
         self.needs_refactor = False
 
+    @property
+    def B(self) -> np.ndarray:
+        return self._bt[: len(self.border)].T
+
+    @property
+    def Y(self) -> np.ndarray:
+        return self._yt[: len(self.border)].T
+
+    @property
+    def C(self) -> np.ndarray:
+        k = len(self.border)
+        return self._c[:k, :k]
+
+    @property
+    def S(self) -> np.ndarray:
+        k = len(self.border)
+        return self._s[:k, :k]
+
     def copy(self) -> "_KktFactor":
-        """A copy with its own border; the base LU, never written after
-        construction, is shared."""
+        """A copy with its own border arrays, trimmed to the live entries
+        (at least the initial four rows), so a QP that adopts a factor and
+        takes no pivot copies no spare rows; the base LU, never written
+        after construction, is shared."""
         c = copy.copy(self)
         c.border = list(self.border)
-        c.B, c.Y, c.C = self.B.copy(), self.Y.copy(), self.C.copy()
+        n = max(len(self.border), 4)
+        c._bt, c._yt = self._bt[:n].copy(), self._yt[:n].copy()
+        c._c, c._s = self._c[:n, :n].copy(), self._s[:n, :n].copy()
         return c
 
     def serves(self, poly, quad, pinned, free_mask) -> bool:
@@ -228,27 +263,37 @@ class _KktFactor:
             self.needs_refactor = True
 
     def _append(self, entry, col, cross, diag):
+        """Add border entry k with B column ``col``, C row ``cross`` and C
+        diagonal ``diag``; S gains row and column k in O(N0 k).  The two are
+        formed apart, as ``C - B'Y`` forms them, so S keeps the round-off
+        asymmetry a from-scratch product would have."""
         y = self._k0_solve(col)
         if y.size and np.max(np.abs(y)) > GROWTH_LIMIT:
             self.needs_refactor = True
         k = len(self.border)
-        self.B = np.column_stack([self.B, col]) if k else col.reshape(-1, 1)
-        self.Y = np.column_stack([self.Y, y]) if k else y.reshape(-1, 1)
-        C = np.zeros((k + 1, k + 1))
-        C[:k, :k] = self.C
-        C[:k, k] = cross
-        C[k, :k] = cross
-        C[k, k] = diag
-        self.C = C
+        if k == len(self._c):  # full: double the spare rows
+            self._bt, self._yt = (np.pad(a, ((0, k), (0, 0)))
+                                  for a in (self._bt, self._yt))
+            self._c, self._s = (np.pad(a, ((0, k), (0, k)))
+                                for a in (self._c, self._s))
+        self._bt[k], self._yt[k] = col, y
+        self._c[:k, k] = self._c[k, :k] = cross
+        self._c[k, k] = diag
+        self._s[:k, k] = cross - self._bt[:k] @ y
+        self._s[k, :k] = cross - self._yt[:k] @ col
+        self._s[k, k] = diag - col @ y
         self.border.append(entry)
         self._mark_update()
 
     def _remove(self, idx: int):
-        keep = [i for i in range(len(self.border)) if i != idx]
+        """Delete border entry idx: its row of B', Y', and its row and
+        column of C and S, shifting the later entries up in place."""
+        k = len(self.border)
         del self.border[idx]
-        self.B = self.B[:, keep]
-        self.Y = self.Y[:, keep]
-        self.C = self.C[np.ix_(keep, keep)]
+        for a in (self._bt, self._yt, self._c, self._s):
+            a[idx:k - 1] = a[idx + 1:k]
+        for a in (self._c, self._s):
+            a[:k - 1, idx:k - 1] = a[:k - 1, idx + 1:k]
         self._mark_update()
 
     def fix(self, j: int):
@@ -290,8 +335,7 @@ class _KktFactor:
             w = np.zeros(0)
         else:
             if self._s_lu is None:
-                self._s_lu = _lu(self.C - self.B.T @ self.Y, 1e-13,
-                                 "border Schur complement")
+                self._s_lu = _lu(self.S, 1e-13, "border Schur complement")
             w = scipy.linalg.lu_solve(self._s_lu, rhsb - self.Y.T @ rhs0,
                                       check_finite=False)
             z = z - self.Y @ w
@@ -370,7 +414,10 @@ class ActiveSetEngine:
         others on the non-pinned columns: duplicate or dependent rows, and
         rows implied once the pinned (lower == upper) variables are
         substituted.  They are verified for consistency and dropped with
-        zero multipliers.  Runs once per engine, on its first fresh build.
+        zero multipliers.  Runs once per engine, on its first fresh build,
+        unless the free columns already span every row (``_spans_rows``);
+        the row set is then all m rows, and this QR and the one in
+        ``_ensure_row_rank`` are both skipped.
         """
         if self._rows_cache is not None:
             return self._rows_cache
@@ -405,6 +452,15 @@ class ActiveSetEngine:
                 )
         self._rows_cache = kept
         return kept
+
+    def _spans_rows(self, free: np.ndarray) -> bool:
+        """Whether A[:, free] has full row rank m, by one pivoted QR.  Then
+        no row is dependent and no variable needs freeing."""
+        if not 0 < self.m <= free.size:
+            return False
+        r, _ = scipy.linalg.qr(self.A[:, free].T, mode="r", pivoting=True)
+        diag = np.abs(np.diag(r))
+        return bool(diag.min() > 1e-11 * max(1.0, diag.max()))
 
     def _ensure_row_rank(self, rows: np.ndarray):
         """Free additional variables until A[rows, free] has full row rank."""
@@ -445,7 +501,11 @@ class ActiveSetEngine:
 
         The first build of a solve adopts a copy of the warm basis's factor
         instead when that factor serves the free set; later builds are
-        refactorizations and always start from scratch.
+        refactorizations and always start from scratch.  The first fresh
+        build settles the kept rows by one QR when A[:, free] has full row
+        rank, and by ``_kept_rows`` and ``_ensure_row_rank`` otherwise;
+        refactorizations always run ``_ensure_row_rank``, since the free set
+        they inherit comes from border updates no solve may have checked.
         """
         handed, self._handed = self._handed, None
         if handed is not None and handed.serves(self.poly, self.quad,
@@ -455,14 +515,19 @@ class ActiveSetEngine:
             self._rows_cache = handed.rows  # row analysis depends on poly only
             self.factor_reused = True
             return
-        rows = self._kept_rows()
-        self._ensure_row_rank(rows)
         free = self._free_idx()
+        if self._rows_cache is None and self._spans_rows(free):
+            self._rows_cache = np.arange(self.m)
+        else:
+            rows = self._kept_rows()
+            self._ensure_row_rank(rows)
+            free = self._free_idx()
         if (self.quad.dense_cache is None and free.size >= max(64, self.n // 4)
                 and self.n <= 4000):
             # large free sets assemble Hessian blocks much faster densely
             self.quad.dense()
-        self.factor = _KktFactor(self.poly, self.quad, self.pinned, rows, free)
+        self.factor = _KktFactor(self.poly, self.quad, self.pinned,
+                                 self._rows_cache, free)
 
     def _refactor(self):
         self.factor = None

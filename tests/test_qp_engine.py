@@ -371,6 +371,66 @@ class TestFactorHandover:
             assert got.pivot_log == alone.pivot_log
 
 
+class TestBorderSchurComplement:
+    @staticmethod
+    def border_arrays(fac):
+        return [a.copy() for a in (fac._bt, fac._yt, fac._c, fac._s)]
+
+    @staticmethod
+    def check(fac, rng):
+        k = len(fac.border)
+        fresh = fac.C - fac.B.T @ fac.Y
+        np.testing.assert_allclose(fac.S, fresh, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(fresh).max(
+                                       initial=0.0)))
+        r0, rb = rng.normal(size=fac.N0), rng.normal(size=k)
+        z, w = fac.solve(r0, rb, validate=True)
+        K = np.block([[fac.K0, fac.B], [fac.B.T, fac.C]])
+        ref = np.linalg.solve(K, np.concatenate([r0, rb]))
+        np.testing.assert_allclose(np.concatenate([z, w]), ref, rtol=1e-9,
+                                   atol=1e-9 * np.abs(ref).max())
+
+    def test_kept_up_to_date_through_fix_and_free(self):
+        rng = np.random.default_rng(11)
+        p = random_problem(rng, n=40, m=3, sigma=1.0)
+        free = np.zeros(p.poly.n, dtype=bool)
+        free[rng.choice(p.poly.n, 20, replace=False)] = True
+        fac = _KktFactor(p.poly, p.quad, np.zeros(p.poly.n, dtype=bool),
+                         np.arange(3), np.flatnonzero(free))
+        start_cap, middle, peak = len(fac._s), 0, 0
+        for _ in range(80):
+            # keep at least 8 variables free so the KKT system stays regular
+            j = int(rng.integers(p.poly.n))
+            if free[j] and free.sum() <= 8:
+                continue
+            undone = ("free" if free[j] else "fix", j)  # entry it would undo
+            if undone in fac.border:
+                middle += fac.border.index(undone) < len(fac.border) - 1
+            (fac.fix if free[j] else fac.free)(j)
+            free[j] = not free[j]
+            peak = max(peak, len(fac.border))
+            self.check(fac, rng)
+        assert middle and peak > 2 * start_cap
+
+    def test_copy_owns_its_border_arrays(self):
+        rng = np.random.default_rng(12)
+        p = random_problem(rng, n=30, m=2, sigma=1.0)
+        fac = _KktFactor(p.poly, p.quad, np.zeros(p.poly.n, dtype=bool),
+                         np.arange(2), np.arange(20))
+        for j in (3, 25, 7):
+            (fac.fix if j < 20 else fac.free)(j)
+        assert len(fac.border) < len(fac._s)  # a spare row is left
+        before = self.border_arrays(fac)
+        twin = fac.copy()
+        twin.free(21)  # appends in the spare row of the arrays
+        twin.free(3)  # removes from the middle of the border
+        twin.fix(25)
+        self.check(twin, rng)
+        for got, want in zip(self.border_arrays(fac), before):
+            np.testing.assert_array_equal(got, want)
+        self.check(fac, rng)
+
+
 def assert_certified(inst, res):
     assert res.status in (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED)
     assert res.kkt is not None and res.kkt.residual_inf <= 1e-5
