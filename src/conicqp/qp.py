@@ -20,10 +20,8 @@ refactorization, bordered through a Schur complement for subsequent single
 working-set changes; the Schur complement gains or loses one row and one
 column per change instead of being formed again, and each direction solve
 scales its right-hand side by ``1/sigma``.  The system is refactorized from
-scratch every 100 updates or when a growth monitor exceeds 1e8.  The first
-fresh build of a solve keeps every equality row after one pivoted QR when
-the free columns span them all, and runs the full row analysis otherwise.
-A solution's basis carries its final factor, and the next QP on the same
+scratch every 100 updates or when a growth monitor exceeds 1e8.  A
+solution's basis carries its final factor, and the next QP on the same
 polyhedron and quadratic form adopts a copy of it when its free set
 matches, so a warm QP that takes no pivots costs one solve and no
 factorization.  LPs (sigma = 0), Phase-1 included, are one-off cold solves
@@ -414,10 +412,7 @@ class ActiveSetEngine:
         others on the non-pinned columns: duplicate or dependent rows, and
         rows implied once the pinned (lower == upper) variables are
         substituted.  They are verified for consistency and dropped with
-        zero multipliers.  Runs once per engine, on its first fresh build,
-        unless the free columns already span every row (``_spans_rows``);
-        the row set is then all m rows, and this QR and the one in
-        ``_ensure_row_rank`` are both skipped.
+        zero multipliers.  Runs once per engine, on its first fresh build.
         """
         if self._rows_cache is not None:
             return self._rows_cache
@@ -452,15 +447,6 @@ class ActiveSetEngine:
                 )
         self._rows_cache = kept
         return kept
-
-    def _spans_rows(self, free: np.ndarray) -> bool:
-        """Whether A[:, free] has full row rank m, by one pivoted QR.  Then
-        no row is dependent and no variable needs freeing."""
-        if not 0 < self.m <= free.size:
-            return False
-        r, _ = scipy.linalg.qr(self.A[:, free].T, mode="r", pivoting=True)
-        diag = np.abs(np.diag(r))
-        return bool(diag.min() > 1e-11 * max(1.0, diag.max()))
 
     def _ensure_row_rank(self, rows: np.ndarray):
         """Free additional variables until A[rows, free] has full row rank."""
@@ -501,11 +487,7 @@ class ActiveSetEngine:
 
         The first build of a solve adopts a copy of the warm basis's factor
         instead when that factor serves the free set; later builds are
-        refactorizations and always start from scratch.  The first fresh
-        build settles the kept rows by one QR when A[:, free] has full row
-        rank, and by ``_kept_rows`` and ``_ensure_row_rank`` otherwise;
-        refactorizations always run ``_ensure_row_rank``, since the free set
-        they inherit comes from border updates no solve may have checked.
+        refactorizations and always start from scratch.
         """
         handed, self._handed = self._handed, None
         if handed is not None and handed.serves(self.poly, self.quad,
@@ -515,19 +497,14 @@ class ActiveSetEngine:
             self._rows_cache = handed.rows  # row analysis depends on poly only
             self.factor_reused = True
             return
+        rows = self._kept_rows()
+        self._ensure_row_rank(rows)
         free = self._free_idx()
-        if self._rows_cache is None and self._spans_rows(free):
-            self._rows_cache = np.arange(self.m)
-        else:
-            rows = self._kept_rows()
-            self._ensure_row_rank(rows)
-            free = self._free_idx()
         if (self.quad.dense_cache is None and free.size >= max(64, self.n // 4)
                 and self.n <= 4000):
             # large free sets assemble Hessian blocks much faster densely
             self.quad.dense()
-        self.factor = _KktFactor(self.poly, self.quad, self.pinned,
-                                 self._rows_cache, free)
+        self.factor = _KktFactor(self.poly, self.quad, self.pinned, rows, free)
 
     def _refactor(self):
         self.factor = None

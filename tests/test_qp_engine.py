@@ -17,11 +17,12 @@ from conicqp import (
     SolveStatus,
     StartMode,
     reoptimize_after_bound_change,
+    solve_bisection,
     solve_cd,
     solve_qp,
 )
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path, gen_quadratic
-from conicqp.qp import BASIC, MAX_UPDATES, ActiveSetEngine, _KktFactor
+from conicqp.qp import BASIC, MAX_UPDATES, ActiveSetEngine, _KktFactor, _lu
 
 from oracles import enumerate_tiny_qp, projected_gradient_qp
 from test_bad_inputs import bad_instance
@@ -429,6 +430,33 @@ class TestBorderSchurComplement:
         for got, want in zip(self.border_arrays(fac), before):
             np.testing.assert_array_equal(got, want)
         self.check(fac, rng)
+
+    def test_rejected_s_is_singular_from_scratch(self, monkeypatch):
+        # bad-input corpus instance 502: under solve_bisection the Schur LU's
+        # pivot test rejects S after nearly every pivot (Bland mode, pivot
+        # cap reached); each rejected S must fail the same test when formed
+        # from scratch, so no rejection comes from drift of the kept S
+        rejected = []
+        real = _KktFactor.solve
+
+        def solving(fac, *args, **kwargs):
+            try:
+                return real(fac, *args, **kwargs)
+            except SingularKktError as err:
+                if "Schur" in str(err):
+                    rejected.append(fac.C - fac.B.T @ fac.Y)
+                raise
+
+        monkeypatch.setattr(_KktFactor, "solve", solving)
+        inst = bad_instance(seed=260, rows="grid", pins=2, extra="dependent",
+                            d_scale=1e-10, costs="tied", omega=1e-6)
+        res = solve_bisection(inst)
+        assert rejected
+        for fresh in rejected:
+            with pytest.raises(SingularKktError):
+                _lu(fresh, 1e-13, "border Schur complement")
+        if res.status in (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED):
+            assert_certified(inst, res)
 
 
 def assert_certified(inst, res):
