@@ -201,26 +201,20 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
         if opts.use_warm_starts and node.basis is not None:
             warm = (node.basis, node.t_parent)
         try:
-            res = solve_cd(sub, _NODE_CD, warm=warm)
+            res = counts = solve_cd(sub, _NODE_CD, warm=warm)
         except InfeasibleError as err:
-            nodes += 1
-            infeasible_nodes += 1
-            qp_count += getattr(err, "qp_count", 0)
-            pivot_count += getattr(err, "pivot_count", 0)
-            if warm is not None:
-                if getattr(err, "first_qp_used_phase1", True):
-                    warm_repairs += 1
-                else:
-                    warm_accepts += 1
-            continue
+            res, counts = None, err  # the error carries the same counts
         nodes += 1
-        qp_count += res.qp_count
-        pivot_count += res.pivot_count
+        qp_count += counts.qp_count
+        pivot_count += counts.pivot_count
         if warm is not None:
-            if res.first_qp_used_phase1:
+            if counts.first_qp_used_phase1:
                 warm_repairs += 1
             else:
                 warm_accepts += 1
+        if res is None:
+            infeasible_nodes += 1
+            continue
         z = res.objective
         certified = res.status not in (SolveStatus.ITER_LIMIT,
                                        SolveStatus.UNCERTIFIED)

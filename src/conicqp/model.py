@@ -24,9 +24,6 @@ import scipy.sparse as sps
 # zero quadratic from accumulated round-off).
 QZERO_TOL = 1e-12
 
-# Dense n x n copies of Q are only cached up to this dimension.
-DENSE_CACHE_MAX_N = 4000
-
 
 class ZeroQuadraticError(ValueError):
     """Raised where x'Qx ~ 0 makes the gradient of the risk term undefined.
@@ -37,7 +34,16 @@ class ZeroQuadraticError(ValueError):
 
 
 class InfeasibleError(RuntimeError):
-    """Raised when a feasibility phase proves the constraint set empty."""
+    """Raised when a feasibility phase proves the constraint set empty.
+
+    The outer loops set the counts of the engine QPs they ran up to and
+    including the infeasible one; the class defaults describe an error
+    raised before any engine QP (an infeasible LP relaxation).
+    """
+
+    qp_count = 0
+    pivot_count = 0
+    first_qp_used_phase1 = True
 
 
 class LpFailureError(RuntimeError):
@@ -54,17 +60,18 @@ class SingularKktError(RuntimeError):
 class QuadraticForm:
     """PSD matrix Q = F (H H') F' + diag(D), kept in factored form.
 
+    Every product and block is computed from the factors; nothing is cached
+    on the form after construction, so solves never write to it.
+
     Attributes:
         F: (n, r) factor-loading matrix.
         sigma_factor: (r, r) matrix H; the factor covariance is H @ H.T.
         D: (n,) nonnegative diagonal.
-        dense_cache: optional dense Q, built lazily for n <= 4000.
     """
 
     F: np.ndarray
     sigma_factor: np.ndarray
     D: np.ndarray
-    dense_cache: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.F = np.ascontiguousarray(self.F, dtype=float)
@@ -93,9 +100,7 @@ class QuadraticForm:
         return self.F.shape[1]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Q @ x via the factored form (or the dense cache when built)."""
-        if self.dense_cache is not None:
-            return self.dense_cache @ x
+        """Q @ x via the factored form."""
         return self._W @ (self._W.T @ x) + self.D * x
 
     def quad(self, x: np.ndarray) -> float:
@@ -106,20 +111,14 @@ class QuadraticForm:
         return float(w @ w + self.D @ (x * x))
 
     def dense(self) -> np.ndarray:
-        """Dense Q, cached for n <= 4000; recomputed on the fly above that."""
-        if self.dense_cache is None:
-            q = self._W @ self._W.T
-            q[np.diag_indices_from(q)] += self.D
-            q = 0.5 * (q + q.T)
-            if self.n <= DENSE_CACHE_MAX_N:
-                self.dense_cache = q
-            return q
-        return self.dense_cache
+        """Dense, exactly symmetric Q, formed afresh on every call; a reference
+        for tests and oracles, which no solver path uses."""
+        q = self._W @ self._W.T
+        q[np.diag_indices_from(q)] += self.D
+        return 0.5 * (q + q.T)
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Q[rows][:, cols], from the dense cache when it is built."""
-        if self.dense_cache is not None:
-            return self.dense_cache[np.ix_(rows, cols)]
+        """Q[rows][:, cols] via the factored form."""
         blk = self._W[rows] @ self._W[cols].T
         blk += np.where(rows[:, None] == cols, self.D[cols], 0.0)
         return blk
@@ -248,7 +247,6 @@ class ConicSolveResult:
     status: SolveStatus
     stop_reason: str = ""
     qp_pivots: list[int] = field(default_factory=list)
-    phase1_count: int = 0
     first_qp_used_phase1: bool = False
     interval_trace: list[tuple[float, float]] = field(default_factory=list)
     basis: object | None = None  # WorkingBasis of the final QP (warm-start token)

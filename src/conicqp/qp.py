@@ -499,12 +499,8 @@ class ActiveSetEngine:
             return
         rows = self._kept_rows()
         self._ensure_row_rank(rows)
-        free = self._free_idx()
-        if (self.quad.dense_cache is None and free.size >= max(64, self.n // 4)
-                and self.n <= 4000):
-            # large free sets assemble Hessian blocks much faster densely
-            self.quad.dense()
-        self.factor = _KktFactor(self.poly, self.quad, self.pinned, rows, free)
+        self.factor = _KktFactor(self.poly, self.quad, self.pinned, rows,
+                                 self._free_idx())
 
     def _refactor(self):
         self.factor = None

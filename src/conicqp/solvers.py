@@ -1,6 +1,7 @@
 """Outer loops that minimize the perspective objective by driving the scale t.
 
-Two drivers share the QP engine:
+Two drivers run the same chain of engine QPs on the subproblem at fixed t,
+each QP warm-started from the last; they differ in how they pick the next t:
 
 * ``solve_cd`` alternates an exact QP solve in x at fixed t with the closed
   form update t = sqrt(x'Qx), warm-starting every QP from the previous basis
@@ -18,9 +19,10 @@ Both use one T-zero test: x'Qx at or below ``QZERO_TOL``, where grad f is
 undefined; such a run returns its point with status TZero and no
 certificate.  Both start, unless given a starting t, from the LP relaxation,
 which HiGHS solves once (``solve_lp``); ``qp_count``, ``qp_pivots``,
-``pivot_count`` and ``phase1_count`` count the engine's QPs only.  An LP
-that HiGHS leaves without an optimal vertex raises ``LpFailureError``, and
-a QP whose KKT system stays singular raises ``SingularKktError``.
+``pivot_count`` and ``first_qp_used_phase1`` describe the engine's QPs only,
+on a result and on the ``InfeasibleError`` of an infeasible QP alike.  An
+LP that HiGHS leaves without an optimal vertex raises ``LpFailureError``,
+and a QP whose KKT system stays singular raises ``SingularKktError``.
 """
 
 from __future__ import annotations
@@ -122,6 +124,57 @@ def _certified(inst: ConicInstance, x: np.ndarray, sol: QpSolution | None,
     return cert, status
 
 
+class _QpChain:
+    """The engine QPs of one outer loop on t, each warm-started from the last.
+
+    The first QP starts from the given basis, point and mode (all None and
+    PrimalStart for a cold start); every later one primal-starts from its
+    predecessor's basis and point.  The chain counts the QPs and their
+    pivots, raises ``InfeasibleError`` carrying those counts, and builds the
+    run's result.
+    """
+
+    def __init__(self, inst: ConicInstance, basis: WorkingBasis | None = None,
+                 x: np.ndarray | None = None,
+                 mode: StartMode = StartMode.PRIMAL_START):
+        self.inst = inst
+        self._next = (basis, x, mode)
+        self.qp_pivots: list[int] = []
+        self.first_qp_used_phase1 = False
+
+    def solve(self, t: float) -> QpSolution:
+        basis, x, mode = self._next
+        sol = solve_qp(subproblem_objective(self.inst, t), warm=basis,
+                       mode=mode, warm_x=x)
+        if not self.qp_pivots:
+            self.first_qp_used_phase1 = sol.used_phase1
+        self.qp_pivots.append(sol.iterations)
+        if sol.status == QpStatus.INFEASIBLE:
+            err = InfeasibleError("QP subproblem is infeasible")
+            err.qp_count = len(self.qp_pivots)
+            err.pivot_count = sum(self.qp_pivots)
+            err.first_qp_used_phase1 = self.first_qp_used_phase1
+            raise err
+        self._next = (sol.basis, sol.x, StartMode.PRIMAL_START)
+        return sol
+
+    def result(self, x: np.ndarray, sol: QpSolution | None, status: SolveStatus,
+               stop_reason: str, trace: list[tuple[float, float]],
+               t: float | None = None, **extra) -> ConicSolveResult:
+        """The run's result at x, certified from ``sol``'s multipliers; t is
+        sqrt(x'Qx) unless given."""
+        kkt, status = _certified(self.inst, x, sol, status)
+        return ConicSolveResult(
+            x=x.copy(), t=_scale(self.inst, x)[0] if t is None else t,
+            objective=eval_objective(self.inst, x), kkt=kkt,
+            qp_count=len(self.qp_pivots), pivot_count=sum(self.qp_pivots),
+            trace=trace, status=status, stop_reason=stop_reason,
+            qp_pivots=self.qp_pivots,
+            first_qp_used_phase1=self.first_qp_used_phase1,
+            basis=_statuses(sol), **extra,
+        )
+
+
 def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
              warm: tuple[WorkingBasis, float] | None = None) -> ConicSolveResult:
     """Coordinate descent on the perspective reformulation.
@@ -132,86 +185,37 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
     """
     opt = opt or CdOptions()
     trace: list[tuple[float, float]] = []
-    qp_pivots: list[int] = []
-    qp_count = 0
-    phase1_count = 0
-    first_qp_phase1 = False
-    prev: QpSolution | None = None
-    mode = StartMode.PRIMAL_START
 
     if warm is not None:
         basis, t_i = warm
         if not t_i > 0:
             raise ValueError("warm t must be positive")
-        prev = None
-        warm_basis: WorkingBasis | None = basis
-        mode = StartMode.DUAL_START
+        chain = _QpChain(inst, basis, mode=StartMode.DUAL_START)
     elif opt.t0 is None:
-        lp = _lp_relaxation(inst)
-        t_lp, zero = _scale(inst, lp.x)
+        sol = _lp_relaxation(inst)
+        chain = _QpChain(inst, sol.basis, sol.x)
+        t_i, zero = _scale(inst, sol.x)
         if zero:
-            return ConicSolveResult(
-                x=lp.x, t=t_lp, objective=eval_objective(inst, lp.x),
-                kkt=None, qp_count=0, pivot_count=0, trace=trace,
-                status=SolveStatus.T_ZERO, stop_reason="t_zero", basis=lp.basis,
-            )
-        t_i = t_lp
-        prev = lp
-        warm_basis = None
+            return chain.result(sol.x, sol, SolveStatus.T_ZERO, "t_zero", trace)
     else:
         t_i = float(opt.t0)
-        warm_basis = None
+        chain = _QpChain(inst)
 
-    sol = prev
-    x = prev.x if prev is not None else None
-    status = SolveStatus.ITER_LIMIT
-    stop_reason = "iter_limit"
-    t_out = t_i
     for _ in range(opt.max_outer):
-        qp = subproblem_objective(inst, t_i)
-        if prev is not None:
-            sol = solve_qp(qp, warm=prev.basis, warm_x=prev.x)
-        elif warm_basis is not None:
-            sol = solve_qp(qp, warm=warm_basis, mode=mode)
-            mode = StartMode.PRIMAL_START
-        else:
-            sol = solve_qp(qp)
-        qp_count += 1
-        qp_pivots.append(sol.iterations)
-        phase1_count += int(sol.used_phase1)
-        if qp_count == 1:
-            first_qp_phase1 = sol.used_phase1
-        if sol.status == QpStatus.INFEASIBLE:
-            err = InfeasibleError("QP subproblem is infeasible")
-            err.first_qp_used_phase1 = first_qp_phase1
-            err.qp_count = qp_count
-            err.pivot_count = sum(qp_pivots)
-            raise err
+        sol = chain.solve(t_i)
         x = sol.x
         trace.append((t_i, sol.objective))
         if sol.status == QpStatus.ITER_LIMIT:
-            status, stop_reason, t_out = SolveStatus.ITER_LIMIT, "qp_iter_limit", t_i
-            break
+            return chain.result(x, sol, SolveStatus.ITER_LIMIT, "qp_iter_limit",
+                                trace, t=t_i)
         t_next, zero = _scale(inst, x)
         if zero:
-            status, stop_reason, t_out = SolveStatus.T_ZERO, "t_zero", t_next
-            break
+            return chain.result(x, sol, SolveStatus.T_ZERO, "t_zero", trace)
         est = dual_bound_estimate(inst, x, t_i, t_next, opt.qp_eps)
-        prev = sol
         t_i = t_next
-        t_out = t_next
         if est <= opt.delta:
-            status, stop_reason = SolveStatus.OPTIMAL, "dual_bound"
-            break
-
-    kkt, status = _certified(inst, x, sol, status)
-    return ConicSolveResult(
-        x=x.copy(), t=t_out, objective=eval_objective(inst, x), kkt=kkt,
-        qp_count=qp_count, pivot_count=sum(qp_pivots), trace=trace,
-        status=status, stop_reason=stop_reason, qp_pivots=qp_pivots,
-        phase1_count=phase1_count, first_qp_used_phase1=first_qp_phase1,
-        basis=_statuses(sol),
-    )
+            return chain.result(x, sol, SolveStatus.OPTIMAL, "dual_bound", trace)
+    return chain.result(sol.x, sol, SolveStatus.ITER_LIMIT, "iter_limit", trace)
 
 
 def solve_bisection(inst: ConicInstance,
@@ -229,13 +233,8 @@ def solve_bisection(inst: ConicInstance,
     opt = opt or BisectOptions()
     trace: list[tuple[float, float]] = []
     interval_trace: list[tuple[float, float]] = []
-    qp_pivots: list[int] = []
-    qp_count = 0
-    phase1_count = 0
-    first_qp_phase1 = False
 
     t_min = float(opt.t_min0)
-    prev: QpSolution | None = None
     x_low_side: np.ndarray | None = None   # x(t_m) with t_m <= t*
     x_high_side: np.ndarray | None = None  # x(t_M) with t_M >= t*
     incumbent_x = None
@@ -245,40 +244,25 @@ def solve_bisection(inst: ConicInstance,
 
     if opt.t_max0 is None:
         lp = _lp_relaxation(inst)
-        t_max = math.sqrt(max(inst.q.quad(lp.x), 0.0))
+        t_max, _ = _scale(inst, lp.x)
         x_high_side = lp.x  # the LP optimum plays x(t) for arbitrarily large t
         incumbent_x, incumbent_sol = lp.x, lp
         incumbent_obj = eval_objective(inst, lp.x)
-        prev = lp
+        chain = _QpChain(inst, lp.basis, lp.x)
     else:
         t_max = float(opt.t_max0)
+        chain = _QpChain(inst)
 
     if t_max * t_max <= QZERO_TOL:  # t_max bounds the optimal sqrt(x'Qx)
         x0 = incumbent_x if incumbent_x is not None else _lp_relaxation(inst).x
-        return ConicSolveResult(
-            x=x0, t=math.sqrt(max(inst.q.quad(x0), 0.0)),
-            objective=eval_objective(inst, x0), kkt=None, qp_count=qp_count,
-            pivot_count=sum(qp_pivots), trace=trace, status=SolveStatus.T_ZERO,
-            stop_reason="t_zero", qp_pivots=qp_pivots,
-            phase1_count=phase1_count, first_qp_used_phase1=first_qp_phase1,
-            basis=_statuses(incumbent_sol),
-        )
+        return chain.result(x0, incumbent_sol, SolveStatus.T_ZERO, "t_zero", trace)
 
     interval_trace.append((t_min, t_max))
     status = SolveStatus.ITER_LIMIT
     stop_reason = "iter_limit"
     for _ in range(opt.max_outer):
         t0 = 0.5 * (t_min + t_max)
-        qp = subproblem_objective(inst, t0)
-        sol = solve_qp(qp, warm=prev.basis, warm_x=prev.x) if prev is not None \
-            else solve_qp(qp)
-        qp_count += 1
-        qp_pivots.append(sol.iterations)
-        phase1_count += int(sol.used_phase1)
-        if qp_count == 1:
-            first_qp_phase1 = sol.used_phase1
-        if sol.status == QpStatus.INFEASIBLE:
-            raise InfeasibleError("QP subproblem is infeasible")
+        sol = chain.solve(t0)
         if sol.status == QpStatus.ITER_LIMIT:
             stop_reason = "qp_iter_limit"
             break
@@ -297,35 +281,24 @@ def solve_bisection(inst: ConicInstance,
         interval_trace.append((t_min, t_max))
         est = dual_bound_estimate(inst, x0, t0, t1, opt.qp_eps)
         z0 = eval_objective(inst, x0)
-        if z0 <= incumbent_obj:
-            incumbent_x, incumbent_obj, incumbent_sol = x0, z0, sol
-            incumbent_est = est
-        elif (incumbent_est > opt.delta and est <= opt.delta
-              and z0 <= incumbent_obj + opt.gap_tol * max(abs(incumbent_obj), 1.0)):
-            # the incumbent (typically the initial LP point) cannot be
-            # certified; a certified midpoint tying within the gap tolerance
-            # replaces it so the run can terminate with a certificate
+        # a certified midpoint tying the incumbent within the gap tolerance
+        # also replaces it when the incumbent (typically the initial LP
+        # point) cannot be certified, so the run can stop with a certificate
+        if z0 <= incumbent_obj or (
+                incumbent_est > opt.delta and est <= opt.delta
+                and z0 <= incumbent_obj + opt.gap_tol * max(abs(incumbent_obj), 1.0)):
             incumbent_x, incumbent_obj, incumbent_sol = x0, z0, sol
             incumbent_est = est
         trace.append((t0, incumbent_obj))
         z_lower = -math.inf
         if x_low_side is not None and x_high_side is not None:
-            z_lower = float(inst.c @ x_high_side) + inst.omega * math.sqrt(
-                max(inst.q.quad(x_low_side), 0.0))
+            z_lower = (float(inst.c @ x_high_side)
+                       + inst.omega * _scale(inst, x_low_side)[0])
         gap_ok = (incumbent_obj - z_lower) <= opt.gap_tol * max(abs(z_lower), 1.0)
         if incumbent_est <= opt.delta and (gap_ok or est <= opt.delta):
             status = SolveStatus.OPTIMAL if gap_ok else SolveStatus.TOLERANCE_REACHED
             stop_reason = "gap" if gap_ok else "dual_bound"
             break
-        prev = sol
 
-    kkt, status = _certified(inst, incumbent_x, incumbent_sol, status)
-    return ConicSolveResult(
-        x=incumbent_x.copy(), t=math.sqrt(max(inst.q.quad(incumbent_x), 0.0)),
-        objective=eval_objective(inst, incumbent_x), kkt=kkt,
-        qp_count=qp_count, pivot_count=sum(qp_pivots), trace=trace,
-        status=status, stop_reason=stop_reason, qp_pivots=qp_pivots,
-        phase1_count=phase1_count, first_qp_used_phase1=first_qp_phase1,
-        interval_trace=interval_trace,
-        basis=_statuses(incumbent_sol),
-    )
+    return chain.result(incumbent_x, incumbent_sol, status, stop_reason, trace,
+                        interval_trace=interval_trace)

@@ -12,6 +12,7 @@ from conicqp import (
     BnbOptions,
     BnbStatus,
     ConicInstance,
+    InfeasibleError,
     Polyhedron,
     QuadraticForm,
     SolveStatus,
@@ -219,6 +220,36 @@ class TestSolveBnb:
         assert not math.isfinite(res.incumbent_obj)
         assert res.status == BnbStatus.INFEASIBLE
         assert res.egap == math.inf
+
+    def test_counts_include_infeasible_warm_node(self, monkeypatch):
+        # the root relaxation has x1 = 0.5; its ceiling child x1 = 1 needs
+        # x4 = -0.5, so that node is infeasible, and it is reached warm
+        poly = Polyhedron(A=[[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]],
+                          b=[2.0, 0.5], lower=np.zeros(4), upper=np.ones(4))
+        q = QuadraticForm(F=np.eye(4), sigma_factor=np.eye(4),
+                          D=np.full(4, 0.1))
+        inst = ConicInstance(c=[-1.0, 0.0, 0.0, 0.0], omega=1.0, q=q,
+                             poly=poly, integer_vars=(0, 1, 2))
+        real = conicqp.bnb.solve_cd
+        counts = []
+
+        def spy(*args, **kwargs):
+            try:
+                res = real(*args, **kwargs)
+            except InfeasibleError as err:
+                counts.append((err.qp_count, err.pivot_count))
+                raise
+            counts.append((res.qp_count, res.pivot_count))
+            return res
+
+        monkeypatch.setattr(conicqp.bnb, "solve_cd", spy)
+        res = solve_bnb(inst)
+        assert res.status == BnbStatus.OPTIMAL
+        assert res.infeasible_nodes == 1
+        assert res.warm_accepts + res.warm_repairs == res.nodes_processed - 1
+        assert len(counts) == res.nodes_processed
+        assert res.qp_count == sum(qp for qp, _ in counts)
+        assert res.pivot_count == sum(piv for _, piv in counts)
 
 
 class TestUncertifiedRelaxations:

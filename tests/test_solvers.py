@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 import conicqp.qp
+import conicqp.solvers
 from conicqp import (
     BisectOptions,
     CdOptions,
@@ -24,7 +25,7 @@ from conicqp import (
 )
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path
 from conicqp.model import QZERO_TOL
-from conicqp.qp import BASIC
+from conicqp.qp import BASIC, StartMode
 
 from oracles import golden_section_g
 from test_bad_inputs import bad_instance
@@ -274,3 +275,65 @@ class TestTypedOutcomes:
         assert res.status == SolveStatus.T_ZERO
         assert 1e-20 < inst.q.quad(res.x) <= QZERO_TOL
         assert res.kkt is None
+
+
+def infeasible_instance():
+    """x1 + x2 = 5 over [0, 1]^2: the first QP's Phase-1 proves it empty."""
+    poly = Polyhedron(A=[[1.0, 1.0]], b=[5.0], lower=[0, 0], upper=[1, 1])
+    return ConicInstance(c=np.zeros(2), omega=1.0, q=identity_form(2),
+                         poly=poly)
+
+
+class TestQpChain:
+    """Both drivers report their QPs the same way, on a result or an error."""
+
+    @pytest.mark.parametrize("run", [
+        lambda inst: solve_cd(inst, CdOptions(t0=1.0)),
+        lambda inst: solve_bisection(inst, BisectOptions(t_max0=1.0)),
+    ], ids=["cd", "bisect"])
+    def test_infeasible_error_carries_counts(self, run):
+        with pytest.raises(InfeasibleError) as info:
+            run(infeasible_instance())
+        assert info.value.qp_count == 1
+        assert info.value.pivot_count == 0
+        assert info.value.first_qp_used_phase1 is True
+
+    @pytest.mark.parametrize("entry", ["cd-lp", "cd-t0", "cd-warm",
+                                       "bisect-lp", "bisect-tmax0"])
+    def test_counts_match_engine_calls(self, entry, monkeypatch):
+        inst = seeded(31, family="gridpath", grid=(5, 5))
+        resume = None
+        if entry == "cd-warm":
+            first = solve_cd(inst)
+            resume = (first.basis, 1.5 * first.t)
+        real = conicqp.solvers.solve_qp
+        calls = []
+
+        def spy(problem, warm=None, mode=StartMode.PRIMAL_START, **kwargs):
+            sol = real(problem, warm=warm, mode=mode, **kwargs)
+            calls.append((warm, mode, sol))
+            return sol
+
+        monkeypatch.setattr(conicqp.solvers, "solve_qp", spy)
+        res = {
+            "cd-lp": lambda: solve_cd(inst),
+            "cd-t0": lambda: solve_cd(inst, CdOptions(t0=1.0)),
+            "cd-warm": lambda: solve_cd(inst, warm=resume),
+            "bisect-lp": lambda: solve_bisection(inst),
+            "bisect-tmax0": lambda: solve_bisection(inst, BisectOptions(t_max0=10.0)),
+        }[entry]()
+        # the LP relaxation goes to solve_lp directly, never through solve_qp
+        assert len(calls) == res.qp_count >= 2
+        pivots = [sol.iterations for _, _, sol in calls]
+        assert pivots == res.qp_pivots
+        assert sum(pivots) == res.pivot_count
+        assert calls[0][2].used_phase1 == res.first_qp_used_phase1
+        first_warm, first_mode = calls[0][0], calls[0][1]
+        if entry in ("cd-t0", "bisect-tmax0"):
+            assert first_warm is None and first_mode == StartMode.PRIMAL_START
+        elif entry == "cd-warm":
+            assert first_warm is resume[0] and first_mode == StartMode.DUAL_START
+        else:
+            assert first_warm is not None and first_mode == StartMode.PRIMAL_START
+        for prev, (basis, mode, _) in zip(calls, calls[1:]):
+            assert basis is prev[2].basis and mode == StartMode.PRIMAL_START
