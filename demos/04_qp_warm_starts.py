@@ -10,12 +10,7 @@ where a cold solve costs hundreds.
 
 import numpy as np
 
-from conicqp import (
-    Polyhedron,
-    QpProblem,
-    reoptimize_after_bound_change,
-    solve_qp,
-)
+from conicqp import Polyhedron, QpProblem, StartMode, solve_qp
 from conicqp.generate import GenSpec, gen_cardinality
 
 inst = gen_cardinality(GenSpec(family="cardinality", n=150, r=10, alpha=0.3,
@@ -44,7 +39,7 @@ upper = poly.upper.copy()
 upper[j] = 0.0
 child = QpProblem(linear=inst.c, quad=inst.q, sigma=1.3, offset=0.0,
                   poly=Polyhedron(poly.A, poly.b, poly.lower, upper))
-re = reoptimize_after_bound_change(base, child)
+re = solve_qp(child, warm=base.basis, mode=StartMode.DUAL_START, warm_x=base.x)
 cold = solve_qp(child)
 print(f"fix x[{j}] to 0: dual restart took {re.iterations} pivots, "
       f"cold solve {cold.iterations}")

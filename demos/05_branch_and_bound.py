@@ -6,14 +6,21 @@ descent, dual-starting the first QP from the parent's basis at the parent's
 scale t.  Branching fixes the variable farthest from an integer; the child
 violating its new bound least is processed next and the sibling joins a
 best-bound list.  Small instances are verified against brute-force
-enumeration of all feasible supports.
+enumeration of all feasible supports.  Progress lines go through the
+``conicqp.bnb`` logger, which this script routes to standard output.
 """
+
+import logging
+import sys
 
 from conicqp import BnbOptions, enumeration_oracle, solve_bnb
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path
 
 card = gen_cardinality(GenSpec(family="cardinality", n=15, r=10, alpha=0.5,
                                omega=3.0, seed=2, discrete=True))
+
+logging.basicConfig(stream=sys.stdout, format="%(message)s")
+logging.getLogger("conicqp.bnb").setLevel(logging.INFO)
 
 print("cardinality instance: n=15, choose 3, omega=3")
 res = solve_bnb(card, BnbOptions(log_stride=5))

@@ -31,14 +31,12 @@ from .qp import (
     QpStatus,
     StartMode,
     WorkingBasis,
-    reoptimize_after_bound_change,
     solve_lp,
     solve_qp,
 )
 from .solvers import (
     BisectOptions,
     CdOptions,
-    init_tmax_from_lp,
     solve_bisection,
     solve_cd,
 )
@@ -92,10 +90,8 @@ __all__ = [
     "gen_grid_path",
     "gen_quadratic",
     "grad_f",
-    "init_tmax_from_lp",
     "kkt_residual",
     "load_instance",
-    "reoptimize_after_bound_change",
     "save_instance",
     "solve_bisection",
     "solve_bnb",

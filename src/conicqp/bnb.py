@@ -8,14 +8,16 @@ or Uncertified) prunes a node or bounds its children; an uncertified one
 is a point whose value bounds the node from above only.  Branching uses the
 maximum-infeasibility rule (the variable farthest from an integer, lowest
 index on ties), the child violating its new bound by the least amount is
-processed next, and the sibling joins a best-bound list.  No presolve,
-cutting planes, or heuristics are applied.
+processed next, and the sibling joins a best-bound list.  A point is
+integral when every integer variable is within ``INT_TOL`` of an integer.
+No presolve, cutting planes, or heuristics are applied.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -55,13 +57,13 @@ class BnbNode:
 
 @dataclass
 class BnbOptions:
+    """Tree options; ``log_stride=k`` logs a progress line every k nodes."""
+
     gap_tol: float = 1e-4
-    int_tol: float = 1e-5
     time_limit: float | None = None
     node_limit: int | None = None
     use_warm_starts: bool = True
     log_stride: int = 0
-    log_fn: object = print
 
 
 # node relaxations are solved to (near) full optimality so that branching
@@ -85,19 +87,21 @@ class BnbResult:
     uncertified_nodes: int = 0
 
 
+INT_TOL = 1e-5
 BRANCH_TIE_TOL = 1e-6
 
+_log = logging.getLogger(__name__)
 
-def branch_select(x: np.ndarray, integer_vars, int_tol: float = 1e-5
-                  ) -> tuple[int, float, float]:
+
+def branch_select(x: np.ndarray, integer_vars) -> tuple[int, float, float]:
     """Maximum-infeasibility branching variable with its floor/ceil values.
 
     Picks the integer variable whose value is farthest from an integer;
     scores within BRANCH_TIE_TOL of the maximum count as tied and the lowest
     index wins, so the choice is stable against solver-level noise in x.
-    Raises if every integer variable is within ``int_tol`` of an integer.
+    Raises if every integer variable is within ``INT_TOL`` of an integer.
     """
-    best_d = int_tol
+    best_d = INT_TOL
     scores: list[tuple[int, float]] = []
     for j in integer_vars:
         v = float(x[j])
@@ -106,7 +110,7 @@ def branch_select(x: np.ndarray, integer_vars, int_tol: float = 1e-5
         scores.append((int(j), d))
         if d > best_d:
             best_d = d
-    if best_d <= int_tol:
+    if best_d <= INT_TOL:
         raise ValueError("branch_select called on an integral point")
     for j, d in scores:  # integer_vars is sorted, so lowest tied index wins
         if d >= best_d - BRANCH_TIE_TOL:
@@ -115,9 +119,9 @@ def branch_select(x: np.ndarray, integer_vars, int_tol: float = 1e-5
     raise AssertionError("unreachable")
 
 
-def _is_integral(x: np.ndarray, integer_vars, int_tol: float) -> bool:
+def _is_integral(x: np.ndarray, integer_vars) -> bool:
     v = x[list(integer_vars)]
-    return bool(np.max(np.abs(v - np.round(v)), initial=0.0) <= int_tol)
+    return bool(np.max(np.abs(v - np.round(v)), initial=0.0) <= INT_TOL)
 
 
 def _egap(ub: float, lb: float) -> float:
@@ -145,7 +149,9 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
     Terminates when (ub - lb_best) / |lb_best + 1e-10| <= gap_tol, when the
     node list empties (status Infeasible if no node gave an integral
     point), or when a time/node limit trips (status TimeLimit with the gap
-    at that point).
+    at that point).  Every ``opts.log_stride`` nodes it logs the line
+    ``node=k ub=v lb=v gap=v depth=d`` on the ``conicqp.bnb`` logger at INFO
+    level.
 
     A node relaxation that stops at its iteration limit, or without a KKT
     certificate (status Uncertified), is not certified: it never prunes,
@@ -225,20 +231,18 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
             # the solved node is no longer in the open list, but its subtree
             # is still bounded below by node_lb, so count it in the bound
             lb_now = min(open_bound(), node_lb)
-            opts.log_fn(
-                f"node={nodes} ub={ub:.9g} lb={lb_now:.9g} "
-                f"gap={_egap(ub, lb_now):.3e} depth={node.depth}"
-            )
+            _log.info("node=%d ub=%.9g lb=%.9g gap=%.3e depth=%d", nodes, ub,
+                      lb_now, _egap(ub, lb_now), node.depth)
         if certified and z >= ub:
             continue  # prune by bound
-        if _is_integral(res.x, inst.integer_vars, opts.int_tol):
+        if _is_integral(res.x, inst.integer_vars):
             if z < ub:
                 ub = z
                 x_star = res.x.copy()
             if not certified:
                 stuck_lb = min(stuck_lb, node_lb)
             continue  # prune by integer feasibility
-        j, fl, cl = branch_select(res.x, inst.integer_vars, opts.int_tol)
+        j, fl, cl = branch_select(res.x, inst.integer_vars)
         v = float(res.x[j])
         lo_j = float(sub.poly.lower[j])
         hi_j = float(sub.poly.upper[j])

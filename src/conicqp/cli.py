@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import math
 import sys
 import time
@@ -162,7 +163,16 @@ def cmd_bnb(args) -> int:
         return EXIT_USAGE
     opts = BnbOptions(gap_tol=args.gap, time_limit=args.time_limit,
                       node_limit=args.node_limit, log_stride=args.log_stride)
-    res, rec = _run(inst, args.instance, "bnb-cd", opts)
+    # the tree's progress lines (--log-stride) go to stdout, before the summary
+    log = logging.getLogger("conicqp.bnb")
+    handler, level = logging.StreamHandler(sys.stdout), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    try:
+        res, rec = _run(inst, args.instance, "bnb-cd", opts)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     print(f"objective     {res.incumbent_obj:.12g}")
     print(f"best_bound    {res.best_bound:.12g}")
     print(f"nodes         {res.nodes_processed}")

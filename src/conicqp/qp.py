@@ -325,8 +325,9 @@ class _KktFactor:
         cross[fr] = h[self.nb:-1]
         self._append(("free", j), col, cross, float(h[-1]))
 
-    def solve(self, rhs0, rhsb, validate=False):
-        """Solve the bordered system [[K0, B], [B', C]] [z; w] = [rhs0; rhsb]."""
+    def solve(self, rhs0, rhsb):
+        """Solve the bordered system [[K0, B], [B', C]] [z; w] = [rhs0; rhsb],
+        raising ``SingularKktError`` when the solution's residual is too large."""
         z = self._k0_solve(rhs0)
         k = len(self.border)
         if k == 0:
@@ -337,16 +338,15 @@ class _KktFactor:
             w = scipy.linalg.lu_solve(self._s_lu, rhsb - self.Y.T @ rhs0,
                                       check_finite=False)
             z = z - self.Y @ w
-        if validate:
-            scale = 1.0 + max(_inf(rhs0), _inf(rhsb))
-            r0 = self.K0 @ z - rhs0
-            if k:
-                r0 += self.B @ w
-                rb = self.B.T @ z + self.C @ w - rhsb
-                if _inf(rb) > 1e-7 * scale:
-                    raise SingularKktError("bordered solve residual too large")
-            if _inf(r0) > 1e-7 * scale:
+        scale = 1.0 + max(_inf(rhs0), _inf(rhsb))
+        r0 = self.K0 @ z - rhs0
+        if k:
+            r0 += self.B @ w
+            rb = self.B.T @ z + self.C @ w - rhsb
+            if _inf(rb) > 1e-7 * scale:
                 raise SingularKktError("bordered solve residual too large")
+        if _inf(r0) > 1e-7 * scale:
+            raise SingularKktError("bordered solve residual too large")
         return z, w
 
 
@@ -523,8 +523,8 @@ class ActiveSetEngine:
     # Direction solves
     # ------------------------------------------------------------------
 
-    def _direction(self, d: np.ndarray, eq_resid: np.ndarray | None = None,
-                   validate: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def _direction(self, d: np.ndarray, eq_resid: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
         """EQP step p and equality multipliers lam at the current working set.
 
         Solves [[sigma Q_FF, A_F'], [A_F, 0]] [p; y] = [-d_F; eq_resid] as
@@ -541,7 +541,7 @@ class ActiveSetEngine:
         rhsb = np.array(
             [g[j] if kind == "free" else 0.0 for kind, j in fac.border]
         )
-        z, w = fac.solve(rhs0, rhsb, validate=validate)
+        z, w = fac.solve(rhs0, rhsb)
         p = np.zeros(self.n)
         if fac.nb:
             p[fac.base_free] = z[: fac.nb]
@@ -606,7 +606,7 @@ class ActiveSetEngine:
                 self._last_lam = lam
                 return QpStatus.ITER_LIMIT
             if not at_opt:
-                p, lam = self._direction(d, validate=True)
+                p, lam = self._direction(d)
                 if _inf(p[self._free_idx()]) > 1e-11 * (1.0 + _inf(self.x)):
                     alpha_max, blocker, side = self._ratio_test(p)
                     alpha = min(1.0, alpha_max)
@@ -676,7 +676,7 @@ class ActiveSetEngine:
         for _ in range(self.pivot_cap + 1):
             d = self._gradient()
             resid = self.poly.b - self.A @ self.x if self.m else None
-            p, _ = self._direction(d, resid, validate=True)
+            p, _ = self._direction(d, resid)
             xn = self.x + p
             free = self._free_idx()
             ftol = FEAS_TOL * (1.0 + _inf(xn))
@@ -857,10 +857,3 @@ def solve_qp(problem: QpProblem, warm: WorkingBasis | None = None,
     eng = ActiveSetEngine(problem, pivot_cap=pivot_cap,
                           track_objective=track_objective)
     return eng.solve(warm, mode, warm_x)
-
-
-def reoptimize_after_bound_change(prev: QpSolution, problem: QpProblem,
-                                  pivot_cap: int | None = None) -> QpSolution:
-    """Re-solve after bound tightening, dual-starting from the previous basis."""
-    return solve_qp(problem, warm=prev.basis, mode=StartMode.DUAL_START,
-                    warm_x=prev.x, pivot_cap=pivot_cap)

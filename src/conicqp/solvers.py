@@ -17,12 +17,15 @@ measure.  A run that would stop as solved but has no certificate at its
 point (it is off ``Ax = b`` by more than 1e-7, say) reports Uncertified.
 Both use one T-zero test: x'Qx at or below ``QZERO_TOL``, where grad f is
 undefined; such a run returns its point with status TZero and no
-certificate.  Both start, unless given a starting t, from the LP relaxation,
-which HiGHS solves once (``solve_lp``); ``qp_count``, ``qp_pivots``,
-``pivot_count`` and ``first_qp_used_phase1`` describe the engine's QPs only,
-on a result and on the ``InfeasibleError`` of an infeasible QP alike.  An
-LP that HiGHS leaves without an optimal vertex raises ``LpFailureError``,
-and a QP whose KKT system stays singular raises ``SingularKktError``.
+certificate.  Bisection always starts from the LP relaxation, whose point
+gives the bracket [0, sqrt(x_LP' Q x_LP)] and the first QP's basis;
+coordinate descent starts there too unless given a starting t or a warm
+basis.  HiGHS solves that LP once (``solve_lp``); ``qp_count``,
+``qp_pivots``, ``pivot_count`` and ``first_qp_used_phase1`` describe the
+engine's QPs only, on a result and on the ``InfeasibleError`` of an
+infeasible QP alike.  An LP that HiGHS leaves without an optimal vertex
+raises ``LpFailureError``, and a QP whose KKT system stays singular raises
+``SingularKktError``.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ from .model import (
 )
 from .qp import QpSolution, QpStatus, StartMode, WorkingBasis, solve_lp, solve_qp
 
+CD_MAX_OUTER = 1000       # coordinate-descent QPs before IterLimit
+BISECT_MAX_OUTER = 200    # bisection midpoint QPs before IterLimit
+BISECT_GAP_TOL = 1e-6     # relative gap between incumbent and lower bound
+
 
 @dataclass
 class CdOptions:
@@ -55,7 +62,6 @@ class CdOptions:
     t0: float | None = None
     delta: float = 1e-5
     qp_eps: float = 1e-9
-    max_outer: int = 1000
 
     def __post_init__(self):
         if self.t0 is not None and not self.t0 > 0:
@@ -66,18 +72,15 @@ class CdOptions:
 
 @dataclass
 class BisectOptions:
-    t_min0: float = 0.0
-    t_max0: float | None = None
-    gap_tol: float = 1e-6
+    """Bisection options; the bracket always starts from the LP relaxation."""
+
     delta: float = 1e-5
     qp_eps: float = 1e-9
-    max_outer: int = 200
 
     def __post_init__(self):
-        if self.t_min0 < 0:
-            raise ValueError("t_min0 must be nonnegative")
-        if self.t_max0 is not None and self.t_max0 < self.t_min0:
-            raise ValueError("t_max0 must be at least t_min0")
+        # the stopping estimate is at least qp_eps, so it must stay below delta
+        if not self.delta > self.qp_eps:
+            raise ValueError("delta must exceed the engine tolerance qp_eps")
 
 
 def _lp_relaxation(inst: ConicInstance) -> QpSolution:
@@ -85,21 +88,10 @@ def _lp_relaxation(inst: ConicInstance) -> QpSolution:
     return solve_lp(subproblem_objective(inst, math.inf))
 
 
-def init_tmax_from_lp(inst: ConicInstance) -> tuple[float, WorkingBasis]:
-    """Upper bracket sqrt(x_LP' Q x_LP) from the LP relaxation, plus its basis.
-
-    The LP point minimizes the linear part alone (the t -> inf limit of the
-    subproblem), so by the monotonicity of the t-updates its risk value
-    bounds the optimal t from above.
-    """
-    sol = _lp_relaxation(inst)
-    return math.sqrt(max(inst.q.quad(sol.x), 0.0)), sol.basis
-
-
-def _statuses(sol: QpSolution | None) -> WorkingBasis | None:
+def _statuses(sol: QpSolution) -> WorkingBasis:
     """The final basis without its KKT factor: a held result keeps statuses
     only, and a later warm start from it builds its own factor."""
-    return WorkingBasis(sol.basis.status) if sol is not None else None
+    return WorkingBasis(sol.basis.status)
 
 
 def _scale(inst: ConicInstance, x: np.ndarray) -> tuple[float, bool]:
@@ -108,11 +100,11 @@ def _scale(inst: ConicInstance, x: np.ndarray) -> tuple[float, bool]:
     return math.sqrt(max(xqx, 0.0)), xqx <= QZERO_TOL
 
 
-def _certified(inst: ConicInstance, x: np.ndarray, sol: QpSolution | None,
+def _certified(inst: ConicInstance, x: np.ndarray, sol: QpSolution,
                status: SolveStatus) -> tuple[KktCertificate | None, SolveStatus]:
     """The KKT certificate of a finished run and its final status: a solved
     status without a certificate at x becomes Uncertified."""
-    if status == SolveStatus.T_ZERO or sol is None:
+    if status == SolveStatus.T_ZERO:
         return None, status
     cert = KktCertificate(lam=sol.lam, mu_lower=sol.mu_lower, mu_upper=sol.mu_upper)
     try:
@@ -158,7 +150,7 @@ class _QpChain:
         self._next = (sol.basis, sol.x, StartMode.PRIMAL_START)
         return sol
 
-    def result(self, x: np.ndarray, sol: QpSolution | None, status: SolveStatus,
+    def result(self, x: np.ndarray, sol: QpSolution, status: SolveStatus,
                stop_reason: str, trace: list[tuple[float, float]],
                t: float | None = None, **extra) -> ConicSolveResult:
         """The run's result at x, certified from ``sol``'s multipliers; t is
@@ -201,7 +193,7 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
         t_i = float(opt.t0)
         chain = _QpChain(inst)
 
-    for _ in range(opt.max_outer):
+    for _ in range(CD_MAX_OUTER):
         sol = chain.solve(t_i)
         x = sol.x
         trace.append((t_i, sol.objective))
@@ -222,45 +214,39 @@ def solve_bisection(inst: ConicInstance,
                     opt: BisectOptions | None = None) -> ConicSolveResult:
     """Accelerated bisection on the value function g(t).
 
-    Each iteration solves the midpoint QP, then uses the monotone update
-    t1 = sqrt(x0'Qx0) to move whichever end of the bracket t1 falls beyond,
-    so the interval at least halves.  The incumbent is the best conic
-    objective seen; a lower bound combines the linear part at the largest
-    evaluated t with the risk part at the smallest, and the run stops once
-    the relative gap closes and the incumbent's dual-feasibility estimate is
-    within ``opt.delta`` (so every converged solve carries a certificate).
+    The bracket starts as [0, t_max] with t_max = sqrt(x_LP' Q x_LP): the LP
+    point minimizes the linear part alone (the t -> inf limit of the
+    subproblem), so by the monotone t-update it bounds the optimal t from
+    above, and its basis starts the first QP.  Each iteration solves the
+    midpoint QP, then uses the monotone update t1 = sqrt(x0'Qx0) to move
+    whichever end of the bracket t1 falls beyond, so the interval at least
+    halves.  The incumbent is the best conic objective seen, the LP point
+    first; a lower bound combines the linear part at the largest evaluated t
+    with the risk part at the smallest, and the run stops once the relative
+    gap closes and the incumbent's dual-feasibility estimate is within
+    ``opt.delta`` (so every converged solve carries a certificate).
     """
     opt = opt or BisectOptions()
     trace: list[tuple[float, float]] = []
     interval_trace: list[tuple[float, float]] = []
 
-    t_min = float(opt.t_min0)
-    x_low_side: np.ndarray | None = None   # x(t_m) with t_m <= t*
-    x_high_side: np.ndarray | None = None  # x(t_M) with t_M >= t*
-    incumbent_x = None
-    incumbent_sol = None
-    incumbent_obj = math.inf
+    lp = _lp_relaxation(inst)
+    chain = _QpChain(inst, lp.basis, lp.x)
+    t_max, zero = _scale(inst, lp.x)
+    if zero:  # t_max bounds the optimal sqrt(x'Qx)
+        return chain.result(lp.x, lp, SolveStatus.T_ZERO, "t_zero", trace)
+
+    t_min = 0.0
+    x_low_side: np.ndarray | None = None  # x(t_m) with t_m <= t*
+    x_high_side = lp.x  # the LP optimum plays x(t) for arbitrarily large t
+    incumbent_x, incumbent_sol = lp.x, lp
+    incumbent_obj = eval_objective(inst, lp.x)
     incumbent_est = math.inf
-
-    if opt.t_max0 is None:
-        lp = _lp_relaxation(inst)
-        t_max, _ = _scale(inst, lp.x)
-        x_high_side = lp.x  # the LP optimum plays x(t) for arbitrarily large t
-        incumbent_x, incumbent_sol = lp.x, lp
-        incumbent_obj = eval_objective(inst, lp.x)
-        chain = _QpChain(inst, lp.basis, lp.x)
-    else:
-        t_max = float(opt.t_max0)
-        chain = _QpChain(inst)
-
-    if t_max * t_max <= QZERO_TOL:  # t_max bounds the optimal sqrt(x'Qx)
-        x0 = incumbent_x if incumbent_x is not None else _lp_relaxation(inst).x
-        return chain.result(x0, incumbent_sol, SolveStatus.T_ZERO, "t_zero", trace)
 
     interval_trace.append((t_min, t_max))
     status = SolveStatus.ITER_LIMIT
     stop_reason = "iter_limit"
-    for _ in range(opt.max_outer):
+    for _ in range(BISECT_MAX_OUTER):
         t0 = 0.5 * (t_min + t_max)
         sol = chain.solve(t0)
         if sol.status == QpStatus.ITER_LIMIT:
@@ -286,15 +272,16 @@ def solve_bisection(inst: ConicInstance,
         # point) cannot be certified, so the run can stop with a certificate
         if z0 <= incumbent_obj or (
                 incumbent_est > opt.delta and est <= opt.delta
-                and z0 <= incumbent_obj + opt.gap_tol * max(abs(incumbent_obj), 1.0)):
+                and z0 <= incumbent_obj
+                + BISECT_GAP_TOL * max(abs(incumbent_obj), 1.0)):
             incumbent_x, incumbent_obj, incumbent_sol = x0, z0, sol
             incumbent_est = est
         trace.append((t0, incumbent_obj))
         z_lower = -math.inf
-        if x_low_side is not None and x_high_side is not None:
+        if x_low_side is not None:
             z_lower = (float(inst.c @ x_high_side)
                        + inst.omega * _scale(inst, x_low_side)[0])
-        gap_ok = (incumbent_obj - z_lower) <= opt.gap_tol * max(abs(z_lower), 1.0)
+        gap_ok = (incumbent_obj - z_lower) <= BISECT_GAP_TOL * max(abs(z_lower), 1.0)
         if incumbent_est <= opt.delta and (gap_ok or est <= opt.delta):
             status = SolveStatus.OPTIMAL if gap_ok else SolveStatus.TOLERANCE_REACHED
             stop_reason = "gap" if gap_ok else "dual_bound"

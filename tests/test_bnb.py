@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -155,11 +156,11 @@ class TestSolveBnb:
             _, obj = enumeration_oracle(inst)
             assert abs(res.incumbent_obj - obj) <= 1e-4 * abs(obj + 1e-10)
 
-    def test_bounds_monotone_over_run(self):
+    def test_bounds_monotone_over_run(self, caplog):
         inst = seeded_card(4, omega=3.0)
-        lines = []
-        res = solve_bnb(inst, BnbOptions(log_stride=1,
-                                         log_fn=lines.append))
+        caplog.set_level(logging.INFO, logger="conicqp.bnb")
+        res = solve_bnb(inst, BnbOptions(log_stride=1))
+        lines = caplog.messages
         ubs, lbs = [], []
         for ln in lines:
             parts = dict(p.split("=") for p in ln.split())

@@ -220,6 +220,25 @@ class TestBnb:
         inst = write_simplex_instance(tmp_path / "s.json")
         assert main(["bnb", "--instance", str(inst)]) == EXIT_USAGE
 
+    def test_log_stride_prints_progress_lines(self, tmp_path, capsys):
+        main(["gen", "--family", "cardinality", "--n", "15", "--r", "5",
+              "--alpha", "0.5", "--omega", "3", "--seed", "2", "--discrete",
+              "--out", str(tmp_path)])
+        capsys.readouterr()
+        inst = str(next(tmp_path.glob("*.json")))
+        assert main(["bnb", "--instance", inst, "--log-stride", "2"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        nodes = int(next(ln.split()[1] for ln in lines
+                         if ln.startswith("nodes ")))
+        progress = [ln for ln in lines if ln.startswith("node=")]
+        assert len(progress) == nodes // 2 >= 1
+        for k, ln in enumerate(progress, start=1):
+            fields = dict(part.split("=") for part in ln.split())
+            assert list(fields) == ["node", "ub", "lb", "gap", "depth"]
+            assert int(fields["node"]) == 2 * k
+        assert lines.index(progress[-1]) < lines.index(
+            next(ln for ln in lines if ln.startswith("objective")))
+
 
 class TestBench:
     def test_group_means_and_rows(self, tmp_path, capsys):

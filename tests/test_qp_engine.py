@@ -16,7 +16,6 @@ from conicqp import (
     SingularKktError,
     SolveStatus,
     StartMode,
-    reoptimize_after_bound_change,
     solve_bisection,
     solve_cd,
     solve_qp,
@@ -193,7 +192,8 @@ class TestReoptimize:
         up[j] = 0.0
         p2 = QpProblem(linear=p.linear, quad=p.quad, sigma=p.sigma, offset=0.0,
                        poly=Polyhedron(p.poly.A, p.poly.b, p.poly.lower, up))
-        res = reoptimize_after_bound_change(base, p2)
+        res = solve_qp(p2, warm=base.basis, mode=StartMode.DUAL_START,
+                       warm_x=base.x)
         assert res.iterations == 0
         np.testing.assert_allclose(res.x, base.x, atol=1e-10)
 
@@ -206,7 +206,8 @@ class TestReoptimize:
         up[0] = 0.0
         p2 = QpProblem(linear=p.linear, quad=p.quad, sigma=0.0, offset=0.0,
                        poly=Polyhedron(p.poly.A, p.poly.b, p.poly.lower, up))
-        res = reoptimize_after_bound_change(base, p2)
+        res = solve_qp(p2, warm=base.basis, mode=StartMode.DUAL_START,
+                       warm_x=base.x)
         np.testing.assert_allclose(res.x, [0, 1, 0], atol=1e-9)
 
     def test_child_objective_dominates_parent(self):
@@ -224,7 +225,8 @@ class TestReoptimize:
             p2 = QpProblem(linear=p.linear, quad=p.quad, sigma=p.sigma,
                            offset=0.0,
                            poly=Polyhedron(p.poly.A, p.poly.b, lo, up))
-            res = reoptimize_after_bound_change(base, p2)
+            res = solve_qp(p2, warm=base.basis, mode=StartMode.DUAL_START,
+                           warm_x=base.x)
             if res.status == QpStatus.OPTIMAL:
                 assert res.objective >= base.objective - 1e-8
                 cold = solve_qp(p2)
@@ -302,7 +304,7 @@ class TestFactorHandover:
             eng = ActiveSetEngine(with_sigma(p, sigma))
             eng.status = sol.basis.status.copy()
             eng.factor = fac.copy()
-            step, lam = eng._direction(d, resid, validate=True)
+            step, lam = eng._direction(d, resid)
             K = np.block([[sigma * Q_FF, A_F.T],
                           [A_F, np.zeros((rows.size, rows.size))]])
             ref = np.linalg.solve(K, np.concatenate([-d[free], resid[rows]]))
@@ -338,19 +340,19 @@ class TestFactorHandover:
         p = card_problem()
         base = solve_qp(p)
         assert base.basis.factor is not None
-        assert reoptimize_after_bound_change(base, p).factor_reused
+        dual = dict(warm=base.basis, mode=StartMode.DUAL_START, warm_x=base.x)
+        assert solve_qp(p, **dual).factor_reused
         poly = p.poly
         other = Polyhedron(poly.A, poly.b, poly.lower, poly.upper)
-        res = reoptimize_after_bound_change(base, with_sigma(p, p.sigma, other))
+        res = solve_qp(with_sigma(p, p.sigma, other), **dual)
         assert not res.factor_reused
         quad = QuadraticForm(p.quad.F, p.quad.sigma_factor, p.quad.D)
-        res = reoptimize_after_bound_change(base, with_sigma(p, p.sigma,
-                                                             quad=quad))
+        res = solve_qp(with_sigma(p, p.sigma, quad=quad), **dual)
         assert not res.factor_reused
         # pin a variable at its lower bound on the same Polyhedron object
         j = int(np.flatnonzero(base.x < 1e-12)[0])
         poly.upper[j] = poly.lower[j]
-        res = reoptimize_after_bound_change(base, p)
+        res = solve_qp(p, **dual)
         assert not res.factor_reused
         cold = solve_qp(with_sigma(p, p.sigma, Polyhedron(
             poly.A, poly.b, poly.lower, poly.upper)))
@@ -385,7 +387,7 @@ class TestBorderSchurComplement:
                                    atol=1e-12 * max(1.0, np.abs(fresh).max(
                                        initial=0.0)))
         r0, rb = rng.normal(size=fac.N0), rng.normal(size=k)
-        z, w = fac.solve(r0, rb, validate=True)
+        z, w = fac.solve(r0, rb)
         K = np.block([[fac.K0, fac.B], [fac.B.T, fac.C]])
         ref = np.linalg.solve(K, np.concatenate([r0, rb]))
         np.testing.assert_allclose(np.concatenate([z, w]), ref, rtol=1e-9,

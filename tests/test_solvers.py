@@ -19,9 +19,10 @@ from conicqp import (
     SingularKktError,
     SolveStatus,
     eval_objective,
-    init_tmax_from_lp,
     solve_bisection,
     solve_cd,
+    solve_lp,
+    subproblem_objective,
 )
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path
 from conicqp.model import QZERO_TOL
@@ -72,9 +73,10 @@ class TestOptions:
         with pytest.raises(ValueError):
             CdOptions(t0=0.0)
 
-    def test_bad_bracket_rejected(self):
+    def test_bisect_delta_must_exceed_engine_tol(self):
+        # bisection stops only once qp_eps + ... <= delta, which this never meets
         with pytest.raises(ValueError):
-            BisectOptions(t_min0=2.0, t_max0=1.0)
+            BisectOptions(delta=1e-10, qp_eps=1e-9)
 
 
 class TestCoordinateDescent:
@@ -146,12 +148,14 @@ class TestInitTmax:
         inst = seeded(5)
         inst2 = ConicInstance(c=np.zeros(inst.n), omega=inst.omega, q=inst.q,
                               poly=inst.poly)
-        t_max, basis = init_tmax_from_lp(inst2)
+        lp = solve_lp(subproblem_objective(inst2, math.inf))
+        t_max = math.sqrt(inst2.q.quad(lp.x))
         assert t_max >= solve_cd(inst2).t - 1e-7
 
     def test_simplex_vertex(self):
         inst = simplex_instance(c=(1.0, 2.0))
-        t_max, basis = init_tmax_from_lp(inst)
+        lp = solve_lp(subproblem_objective(inst, math.inf))
+        t_max = math.sqrt(inst.q.quad(lp.x))
         assert t_max == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_grid_vertex_hands_off_full_rank_free_set(self):
@@ -159,8 +163,8 @@ class TestInitTmax:
         # must stay Basic so the first QP starts from a full-rank free set
         for grid in ((6, 6), (8, 8)):
             inst = seeded(4, family="gridpath", grid=grid)
-            _, basis = init_tmax_from_lp(inst)
-            free = basis.status == BASIC
+            lp = solve_lp(subproblem_objective(inst, math.inf))
+            free = lp.basis.status == BASIC
             assert free.sum() >= inst.poly.m
             assert np.linalg.matrix_rank(inst.poly.A[:, free]) == inst.poly.m
 
@@ -179,7 +183,8 @@ class TestInitTmax:
     def test_bounds_optimal_t_on_seeded_instances(self):
         for seed in range(8):
             inst = seeded(seed, n=25)
-            t_max, _ = init_tmax_from_lp(inst)
+            lp = solve_lp(subproblem_objective(inst, math.inf))
+            t_max = math.sqrt(inst.q.quad(lp.x))
             assert solve_cd(inst).t <= t_max + 1e-7
 
 
@@ -206,7 +211,8 @@ class TestBisection:
     def test_final_t_within_lp_bracket(self):
         for seed in range(6):
             inst = seeded(seed, family="gridpath")
-            t_max, _ = init_tmax_from_lp(inst)
+            lp = solve_lp(subproblem_objective(inst, math.inf))
+            t_max = math.sqrt(inst.q.quad(lp.x))
             res = solve_bisection(inst)
             assert res.t <= t_max + 1e-7
 
@@ -278,7 +284,8 @@ class TestTypedOutcomes:
 
 
 def infeasible_instance():
-    """x1 + x2 = 5 over [0, 1]^2: the first QP's Phase-1 proves it empty."""
+    """x1 + x2 = 5 over [0, 1]^2: the LP relaxation, or a cold first QP's
+    Phase-1, proves it empty."""
     poly = Polyhedron(A=[[1.0, 1.0]], b=[5.0], lower=[0, 0], upper=[1, 1])
     return ConicInstance(c=np.zeros(2), omega=1.0, q=identity_form(2),
                          poly=poly)
@@ -287,19 +294,20 @@ def infeasible_instance():
 class TestQpChain:
     """Both drivers report their QPs the same way, on a result or an error."""
 
-    @pytest.mark.parametrize("run", [
-        lambda inst: solve_cd(inst, CdOptions(t0=1.0)),
-        lambda inst: solve_bisection(inst, BisectOptions(t_max0=1.0)),
+    @pytest.mark.parametrize("run, qp_count", [
+        (lambda inst: solve_cd(inst, CdOptions(t0=1.0)), 1),
+        # the LP relaxation fails first: the class defaults, no engine QP
+        (solve_bisection, 0),
     ], ids=["cd", "bisect"])
-    def test_infeasible_error_carries_counts(self, run):
+    def test_infeasible_error_carries_counts(self, run, qp_count):
         with pytest.raises(InfeasibleError) as info:
             run(infeasible_instance())
-        assert info.value.qp_count == 1
+        assert info.value.qp_count == qp_count
         assert info.value.pivot_count == 0
         assert info.value.first_qp_used_phase1 is True
 
     @pytest.mark.parametrize("entry", ["cd-lp", "cd-t0", "cd-warm",
-                                       "bisect-lp", "bisect-tmax0"])
+                                       "bisect-lp"])
     def test_counts_match_engine_calls(self, entry, monkeypatch):
         inst = seeded(31, family="gridpath", grid=(5, 5))
         resume = None
@@ -320,7 +328,6 @@ class TestQpChain:
             "cd-t0": lambda: solve_cd(inst, CdOptions(t0=1.0)),
             "cd-warm": lambda: solve_cd(inst, warm=resume),
             "bisect-lp": lambda: solve_bisection(inst),
-            "bisect-tmax0": lambda: solve_bisection(inst, BisectOptions(t_max0=10.0)),
         }[entry]()
         # the LP relaxation goes to solve_lp directly, never through solve_qp
         assert len(calls) == res.qp_count >= 2
@@ -329,7 +336,7 @@ class TestQpChain:
         assert sum(pivots) == res.pivot_count
         assert calls[0][2].used_phase1 == res.first_qp_used_phase1
         first_warm, first_mode = calls[0][0], calls[0][1]
-        if entry in ("cd-t0", "bisect-tmax0"):
+        if entry == "cd-t0":
             assert first_warm is None and first_mode == StartMode.PRIMAL_START
         elif entry == "cd-warm":
             assert first_warm is resume[0] and first_mode == StartMode.DUAL_START
