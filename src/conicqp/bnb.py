@@ -85,6 +85,8 @@ class BnbResult:
     warm_repairs: int = 0
     infeasible_nodes: int = 0
     uncertified_nodes: int = 0
+    jumps_tried: int = 0  # the node relaxations' fixed-point jumps
+    jumps_taken: int = 0
 
 
 INT_TOL = 1e-5
@@ -175,7 +177,7 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
     next_node: BnbNode | None = None
     stuck_lb = math.inf  # lowest bound of the unbranchable uncertified nodes
 
-    nodes = qp_count = pivot_count = 0
+    nodes = qp_count = pivot_count = jumps_tried = jumps_taken = 0
     warm_accepts = warm_repairs = infeasible_nodes = uncertified_nodes = 0
     status = BnbStatus.OPTIMAL
 
@@ -213,6 +215,8 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
         nodes += 1
         qp_count += counts.qp_count
         pivot_count += counts.pivot_count
+        jumps_tried += counts.jumps_tried
+        jumps_taken += counts.jumps_taken
         if warm is not None:
             if counts.first_qp_used_phase1:
                 warm_repairs += 1
@@ -275,7 +279,8 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
         nodes_processed=nodes, status=status, egap=egap, qp_count=qp_count,
         pivot_count=pivot_count, warm_accepts=warm_accepts,
         warm_repairs=warm_repairs, infeasible_nodes=infeasible_nodes,
-        uncertified_nodes=uncertified_nodes,
+        uncertified_nodes=uncertified_nodes, jumps_tried=jumps_tried,
+        jumps_taken=jumps_taken,
     )
 
 

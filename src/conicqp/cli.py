@@ -146,6 +146,7 @@ def cmd_solve(args) -> int:
     print(f"kkt_residual  {rec.kkt_residual:.3e}")
     print(f"qp_count      {res.qp_count}")
     print(f"pivot_count   {res.pivot_count}")
+    print(f"jumps         {res.jumps_taken}/{res.jumps_tried} (taken/tried)")
     print(f"time_s        {rec.time_s:.4f}")
     print(f"status        {res.status.value} ({res.stop_reason})")
     if args.reference is not None:
@@ -179,6 +180,7 @@ def cmd_bnb(args) -> int:
     print(f"egap_pct      {rec.egap:.4g}")
     print(f"qp_count      {res.qp_count}")
     print(f"pivot_count   {res.pivot_count}")
+    print(f"jumps         {res.jumps_taken}/{res.jumps_tried} (taken/tried)")
     print(f"warm_accepts  {res.warm_accepts}")
     print(f"warm_repairs  {res.warm_repairs}")
     print(f"uncertified   {res.uncertified_nodes}")

@@ -44,6 +44,8 @@ class InfeasibleError(RuntimeError):
     qp_count = 0
     pivot_count = 0
     first_qp_used_phase1 = True
+    jumps_tried = 0
+    jumps_taken = 0
 
 
 class LpFailureError(RuntimeError):
@@ -248,6 +250,8 @@ class ConicSolveResult:
     stop_reason: str = ""
     qp_pivots: list[int] = field(default_factory=list)
     first_qp_used_phase1: bool = False
+    jumps_tried: int = 0  # coordinate descent's fixed-point jumps
+    jumps_taken: int = 0
     interval_trace: list[tuple[float, float]] = field(default_factory=list)
     basis: object | None = None  # WorkingBasis of the final QP (warm-start token)
 

@@ -24,9 +24,12 @@ scratch every 100 updates or when a growth monitor exceeds 1e8.  A
 solution's basis carries its final factor, and the next QP on the same
 polyhedron and quadratic form adopts a copy of it when its free set
 matches, so a warm QP that takes no pivots costs one solve and no
-factorization.  LPs (sigma = 0), Phase-1 included, are one-off cold solves
-in the HiGHS dual simplex (``solve_lp``), whose vertex and multipliers come
-back in the engine's conventions, ready to warm-start a QP.
+factorization.  The same factor gives ``scale_ray``, the slopes of a
+solution's x and sigma-scaled multipliers along 1/sigma with the working
+set fixed, in one more bordered solve.  LPs (sigma = 0), Phase-1 included,
+are one-off cold solves in the HiGHS dual simplex (``solve_lp``), whose
+vertex and multipliers come back in the engine's conventions, ready to
+warm-start a QP.
 
 A KKT system found singular is recovered in one place, ``solve``: during
 the feasible start the engine drops the factor and runs Phase-1 again;
@@ -350,6 +353,36 @@ class _KktFactor:
         return z, w
 
 
+def _kkt_step(fac: _KktFactor, d: np.ndarray, sigma: float, n: int, m: int,
+              eq_resid: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """EQP step p and equality multipliers lam on the working set of ``fac``.
+
+    Solves [[sigma Q_FF, A_F'], [A_F, 0]] [p; y] = [-d_F; eq_resid] as
+    [[Q_FF, A_F'], [A_F, 0]] [p; y/sigma] = [-d_F/sigma; eq_resid] on the
+    sigma-free factor; lam = -y.
+    """
+    g = d / -sigma
+    rhs0 = np.zeros(fac.N0)
+    if fac.nb:
+        rhs0[: fac.nb] = g[fac.base_free]
+    if fac.mr and eq_resid is not None:
+        rhs0[fac.nb:] = eq_resid[fac.rows]
+    rhsb = np.array(
+        [g[j] if kind == "free" else 0.0 for kind, j in fac.border]
+    )
+    z, w = fac.solve(rhs0, rhsb)
+    p = np.zeros(n)
+    if fac.nb:
+        p[fac.base_free] = z[: fac.nb]
+    for i, (kind, j) in enumerate(fac.border):
+        p[j] = w[i] if kind == "free" else 0.0
+    lam = np.zeros(m)
+    if fac.mr:
+        lam[fac.rows] = -sigma * z[fac.nb:]
+    return p, lam
+
+
 class ActiveSetEngine:
     """One QP solve worth of mutable state; create one engine per solve.
 
@@ -525,32 +558,8 @@ class ActiveSetEngine:
 
     def _direction(self, d: np.ndarray, eq_resid: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
-        """EQP step p and equality multipliers lam at the current working set.
-
-        Solves [[sigma Q_FF, A_F'], [A_F, 0]] [p; y] = [-d_F; eq_resid] as
-        [[Q_FF, A_F'], [A_F, 0]] [p; y/sigma] = [-d_F/sigma; eq_resid] on the
-        sigma-free factor; lam = -y.
-        """
-        fac = self.factor
-        g = d / -self.sigma
-        rhs0 = np.zeros(fac.N0)
-        if fac.nb:
-            rhs0[: fac.nb] = g[fac.base_free]
-        if fac.mr and eq_resid is not None:
-            rhs0[fac.nb:] = eq_resid[fac.rows]
-        rhsb = np.array(
-            [g[j] if kind == "free" else 0.0 for kind, j in fac.border]
-        )
-        z, w = fac.solve(rhs0, rhsb)
-        p = np.zeros(self.n)
-        if fac.nb:
-            p[fac.base_free] = z[: fac.nb]
-        for i, (kind, j) in enumerate(fac.border):
-            p[j] = w[i] if kind == "free" else 0.0
-        lam = np.zeros(self.m)
-        if fac.mr:
-            lam[fac.rows] = -self.sigma * z[fac.nb:]
-        return p, lam
+        """EQP step p and equality multipliers lam at the current working set."""
+        return _kkt_step(self.factor, d, self.sigma, self.n, self.m, eq_resid)
 
     # ------------------------------------------------------------------
     # Primal active-set loop
@@ -832,6 +841,27 @@ def solve_lp(problem: QpProblem) -> QpSolution:
         x=x, lam=lam, mu_lower=res.lower.marginals, mu_upper=-res.upper.marginals,
         objective=problem.objective(x), basis=WorkingBasis(status),
         iterations=int(res.nit), status=QpStatus.OPTIMAL)
+
+
+def scale_ray(problem: QpProblem, sol: QpSolution
+              ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Derivatives of a QP solution along the Hessian scale, working set fixed.
+
+    With s = 1/sigma, the EQP solution of ``sol``'s working set satisfies
+    [[Q_FF, A_F'], [A_F, 0]] [x_F; -s lam] = [-s c_F - Q_FN x_N; b - A_N x_N],
+    so x and s lam are affine in s.  One bordered solve on the factor the
+    solution hands over, with right-hand side [-c_F; 0], returns their slopes
+    (dx/ds, d(s lam)/ds).  None when the solution carries no factor or the
+    solve finds the system singular.
+    """
+    fac = sol.basis.factor
+    if fac is None:
+        return None
+    try:
+        return _kkt_step(fac, problem.linear, 1.0, problem.poly.n,
+                         problem.poly.m)
+    except SingularKktError:
+        return None
 
 
 def solve_qp(problem: QpProblem, warm: WorkingBasis | None = None,

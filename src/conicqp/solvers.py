@@ -6,7 +6,14 @@ each QP warm-started from the last; they differ in how they pick the next t:
 * ``solve_cd`` alternates an exact QP solve in x at fixed t with the closed
   form update t = sqrt(x'Qx), warm-starting every QP from the previous basis
   (primal start), or from a supplied basis via a dual start when resuming
-  after bound changes.
+  after bound changes.  Once per working set it tries to jump instead to
+  that set's fixed point t* = sqrt(x(t*)'Q x(t*)), where x(t) is affine in
+  t; the jump is taken only when x(t*) keeps the working set optimal (free
+  variables within bounds, fixed ones' reduced costs of the right sign),
+  t* lies on or beyond sqrt(x'Qx) in the direction t is moving, t*^2 is
+  above ``QZERO_TOL`` and t* moves t by more than ``delta`` relative.  The
+  QP at t* still runs: it takes no pivot and stops the loop through the
+  usual dual-feasibility test.
 * ``solve_bisection`` maintains a bracket [t_min, t_max] around the
   minimizer of the value function g(t), halving it at each midpoint QP and
   shrinking it further with the monotone update t1 = sqrt(x0'Qx0).
@@ -23,7 +30,8 @@ coordinate descent starts there too unless given a starting t or a warm
 basis.  HiGHS solves that LP once (``solve_lp``); ``qp_count``,
 ``qp_pivots``, ``pivot_count`` and ``first_qp_used_phase1`` describe the
 engine's QPs only, on a result and on the ``InfeasibleError`` of an
-infeasible QP alike.  An LP that HiGHS leaves without an optimal vertex
+infeasible QP alike, and so do ``jumps_tried`` and ``jumps_taken`` for the
+jumps of coordinate descent.  An LP that HiGHS leaves without an optimal vertex
 raises ``LpFailureError``, and a QP whose KKT system stays singular raises
 ``SingularKktError``.
 """
@@ -48,7 +56,19 @@ from .model import (
     kkt_residual,
     subproblem_objective,
 )
-from .qp import QpSolution, QpStatus, StartMode, WorkingBasis, solve_lp, solve_qp
+from .qp import (
+    AT_LOWER,
+    BASIC,
+    FEAS_TOL,
+    OPT_TOL,
+    QpSolution,
+    QpStatus,
+    StartMode,
+    WorkingBasis,
+    scale_ray,
+    solve_lp,
+    solve_qp,
+)
 
 CD_MAX_OUTER = 1000       # coordinate-descent QPs before IterLimit
 BISECT_MAX_OUTER = 200    # bisection midpoint QPs before IterLimit
@@ -116,14 +136,62 @@ def _certified(inst: ConicInstance, x: np.ndarray, sol: QpSolution,
     return cert, status
 
 
+def _fixed_point(inst: ConicInstance, sol: QpSolution, t_i: float,
+                 t_next: float, delta: float) -> float | None:
+    """The fixed point t* = sqrt(x(t*)'Q x(t*)) of ``sol``'s working set, when
+    it is a safe next t for coordinate descent after the QP at ``t_i``.
+
+    With the working set fixed, x(t) = a + t b and t lam(t) are affine in t
+    (``scale_ray``), so t* solves (1 - b'Qb) t^2 - 2 a'Qb t - a'Qa = 0.  Its
+    middle term vanishes: b is zero off the free set F, A_F b_F = 0, and
+    (Qa)_F = A_F' mu for the multipliers mu of the t = 0 end of the path.
+    So the one positive root is t* = sqrt(a'Qa / (1 - b'Qb)); there is none
+    when b'Qb >= 1.  The root is accepted only when
+
+    * it lies on or beyond ``t_next`` going from ``t_i``, so t stays
+      monotone (exact arithmetic guarantees this);
+    * at x(t*) the free variables lie within their bounds and the fixed,
+      non-pinned variables' reduced costs keep their signs, to the engine's
+      tolerances, so x(t*) solves the QP at t* with zero pivots;
+    * t*^2 is above ``QZERO_TOL``, out of the T-zero regime;
+    * it moves t by more than ``delta * t_next``.
+    """
+    ray = scale_ray(subproblem_objective(inst, t_i), sol)
+    if ray is None:
+        return None
+    dxds, dmuds = ray
+    b = dxds / inst.omega  # s = t / omega
+    a = sol.x - t_i * b
+    lead = 1.0 - inst.q.quad(b)
+    if not lead > 0:
+        return None
+    t_star = math.sqrt(inst.q.quad(a) / lead)
+    if ((t_star - t_next) * (t_next - t_i) < 0 or t_star * t_star <= QZERO_TOL
+            or abs(t_star - t_next) <= delta * t_next):
+        return None
+    x = a + t_star * b
+    poly, status = inst.poly, sol.basis.status
+    free = status == BASIC
+    tol = FEAS_TOL * (1.0 + float(np.max(np.abs(x))))
+    if (np.any(x[free] < poly.lower[free] - tol)
+            or np.any(x[free] > poly.upper[free] + tol)):
+        return None
+    lam = (t_i * sol.lam + (t_star - t_i) * dmuds) / t_star
+    rc = inst.c + inst.omega / t_star * inst.q.matvec(x) - poly.A.T @ lam
+    viol = np.where(status == AT_LOWER, -rc, rc)[~free & (poly.lower < poly.upper)]
+    if np.any(viol > 0.5 * OPT_TOL):  # the engine's pricing threshold
+        return None
+    return t_star
+
+
 class _QpChain:
     """The engine QPs of one outer loop on t, each warm-started from the last.
 
     The first QP starts from the given basis, point and mode (all None and
     PrimalStart for a cold start); every later one primal-starts from its
     predecessor's basis and point.  The chain counts the QPs and their
-    pivots, raises ``InfeasibleError`` carrying those counts, and builds the
-    run's result.
+    pivots and the fixed-point jumps tried and taken (``next_t``), raises
+    ``InfeasibleError`` carrying those counts, and builds the run's result.
     """
 
     def __init__(self, inst: ConicInstance, basis: WorkingBasis | None = None,
@@ -133,6 +201,8 @@ class _QpChain:
         self._next = (basis, x, mode)
         self.qp_pivots: list[int] = []
         self.first_qp_used_phase1 = False
+        self.jumps_tried = self.jumps_taken = 0
+        self._rayed: set[bytes] = set()  # working sets a jump was tried from
 
     def solve(self, t: float) -> QpSolution:
         basis, x, mode = self._next
@@ -146,9 +216,26 @@ class _QpChain:
             err.qp_count = len(self.qp_pivots)
             err.pivot_count = sum(self.qp_pivots)
             err.first_qp_used_phase1 = self.first_qp_used_phase1
+            err.jumps_tried, err.jumps_taken = self.jumps_tried, self.jumps_taken
             raise err
         self._next = (sol.basis, sol.x, StartMode.PRIMAL_START)
         return sol
+
+    def next_t(self, sol: QpSolution, t_i: float, t_next: float,
+               delta: float) -> float:
+        """The next coordinate-descent t after the QP at ``t_i``: the working
+        set's fixed point when ``_fixed_point`` accepts it, else ``t_next``.
+        A jump is tried at most once per working set."""
+        key = sol.basis.status.tobytes()
+        if key in self._rayed:
+            return t_next
+        self._rayed.add(key)
+        self.jumps_tried += 1
+        t_star = _fixed_point(self.inst, sol, t_i, t_next, delta)
+        if t_star is None:
+            return t_next
+        self.jumps_taken += 1
+        return t_star
 
     def result(self, x: np.ndarray, sol: QpSolution, status: SolveStatus,
                stop_reason: str, trace: list[tuple[float, float]],
@@ -163,6 +250,7 @@ class _QpChain:
             trace=trace, status=status, stop_reason=stop_reason,
             qp_pivots=self.qp_pivots,
             first_qp_used_phase1=self.first_qp_used_phase1,
+            jumps_tried=self.jumps_tried, jumps_taken=self.jumps_taken,
             basis=_statuses(sol), **extra,
         )
 
@@ -171,9 +259,17 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
              warm: tuple[WorkingBasis, float] | None = None) -> ConicSolveResult:
     """Coordinate descent on the perspective reformulation.
 
+    After each QP at t_i the next t is t_next = sqrt(x'Qx), or the fixed
+    point t* of the QP's working set when ``_fixed_point`` accepts it; a
+    jump is tried at most once per working set (jumping again from a set
+    whose QP missed t* can cycle until the loop's cap at extreme omega).
+    An accepted t* lies on
+    or beyond t_next going from t_i, so the t sequence stays monotone.
     Stops when the dual-feasibility estimate drops below ``opt.delta``, or
     when x'Qx collapses to (numerical) zero, in which case the current point
-    is returned with status TZero.
+    is returned with status TZero.  ``jumps_tried`` and ``jumps_taken`` on
+    the result count the working sets a jump was tried from and the jumps
+    made.
     """
     opt = opt or CdOptions()
     trace: list[tuple[float, float]] = []
@@ -204,9 +300,9 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
         if zero:
             return chain.result(x, sol, SolveStatus.T_ZERO, "t_zero", trace)
         est = dual_bound_estimate(inst, x, t_i, t_next, opt.qp_eps)
-        t_i = t_next
         if est <= opt.delta:
             return chain.result(x, sol, SolveStatus.OPTIMAL, "dual_bound", trace)
+        t_i = chain.next_t(sol, t_i, t_next, opt.delta)
     return chain.result(sol.x, sol, SolveStatus.ITER_LIMIT, "iter_limit", trace)
 
 

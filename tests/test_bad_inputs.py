@@ -126,3 +126,26 @@ def test_bnb_certifies_or_types(params):
         x = res.incumbent_x
         assert inst.poly.contains(x, tol=1e-7)
         np.testing.assert_allclose(x, np.round(x), atol=1e-5)
+
+
+class TestJumpGuards:
+    """Corpus instances that need the late checks of the fixed-point jump."""
+
+    def test_no_jump_into_the_t_zero_regime(self):
+        # corpus cd 708 (D = 0, omega = 1e6): its working set's fixed point
+        # is t* = 1.4e-14, where the next QP's KKT system is singular
+        inst = bad_instance(seed=4175, rows="card", pins=1, extra="none",
+                            d_scale=0.0, costs="random", omega=1e6)
+        res = solve_cd(inst)
+        assert res.status == SolveStatus.T_ZERO
+        assert res.jumps_tried == 1 and res.jumps_taken == 0
+
+    def test_no_jump_that_leaves_t_in_place(self):
+        # corpus B&B tree 4 (omega = 1e-6): a node's jump would move t by
+        # 4e-11 relative, and the QP there cycles to its iteration limit
+        inst = bad_instance(seed=9220, rows="dense", pins=1, extra="dependent",
+                            d_scale=1e-10, costs="random", omega=1e-6,
+                            discrete=True)
+        res = solve_bnb(inst, BnbOptions(node_limit=200))
+        assert res.status == BnbStatus.OPTIMAL
+        assert res.uncertified_nodes == 0

@@ -253,6 +253,41 @@ class TestSolveBnb:
         assert res.pivot_count == sum(piv for _, piv in counts)
 
 
+class TestFixedPointJumps:
+    """Node relaxations jump t to the fixed point; trees keep their shape."""
+
+    @pytest.mark.parametrize("spec, nodes, accepts, max_qps", [
+        # without the jump these trees take 162 and 113 QPs; two of the
+        # grid's nodes cross working sets whose fixed point lies outside
+        # them, where no jump is taken
+        (GenSpec(family="cardinality", n=25, seed=300, r=5, alpha=0.5,
+                 omega=2.0, discrete=True), 12, 11, 3 * 12),
+        (GenSpec(family="gridpath", p=6, q=6, seed=400, r=5, alpha=0.5,
+                 omega=2.0, discrete=True), 7, 6, 4 * 7),
+    ], ids=["card25-s300", "grid6x6-s400"])
+    def test_benchmark_trees(self, spec, nodes, accepts, max_qps,
+                             monkeypatch):
+        inst = (gen_cardinality if spec.family == "cardinality"
+                else gen_grid_path)(spec)
+        real = conicqp.bnb.solve_cd
+        jumps = []
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            jumps.append((res.jumps_tried, res.jumps_taken))
+            return res
+
+        monkeypatch.setattr(conicqp.bnb, "solve_cd", spy)
+        res = solve_bnb(inst)
+        assert res.nodes_processed == nodes
+        assert res.warm_accepts == accepts and res.warm_repairs == 0
+        assert res.qp_count <= max_qps
+        assert res.jumps_tried == sum(tried for tried, _ in jumps)
+        assert res.jumps_taken == sum(taken for _, taken in jumps) >= 1
+        _, ref = enumeration_oracle(inst)
+        assert res.incumbent_obj <= ref + 1e-4 * abs(ref)
+
+
 class TestUncertifiedRelaxations:
     """Node relaxations stopped by a pivot cap bound a node from above only."""
 

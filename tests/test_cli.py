@@ -145,6 +145,23 @@ class TestSolve:
         assert "status        Uncertified" in capsys.readouterr().out
 
 
+    def test_summary_counts_jumps(self, tmp_path, capsys):
+        main(["gen", "--family", "cardinality", "--n", "40", "--r", "5",
+              "--alpha", "0.3", "--omega", "2", "--seed", "3",
+              "--out", str(tmp_path)])
+        capsys.readouterr()
+        path = next(tmp_path.glob("*.json"))
+        assert main(["solve", "--alg", "cd", "--instance", str(path)]) == EXIT_OK
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("jumps"))
+        from conicqp import load_instance, solve_cd
+
+        res = solve_cd(load_instance(path))
+        assert res.jumps_taken >= 1
+        assert line.split()[1:] == [f"{res.jumps_taken}/{res.jumps_tried}",
+                                    "(taken/tried)"]
+
+
 class TestBnb:
     def test_solves_and_matches_oracle(self, tmp_path, capsys):
         main(["gen", "--family", "cardinality", "--n", "15", "--r", "5",
@@ -160,6 +177,9 @@ class TestBnb:
 
         _, ref = enumeration_oracle(load_instance(inst_path))
         assert abs(obj - ref) <= 1e-4 * abs(ref)
+        taken, tried = next(ln.split()[1] for ln in out.splitlines()
+                            if ln.startswith("jumps")).split("/")
+        assert 1 <= int(taken) <= int(tried)
 
     def test_forced_timeout(self, tmp_path, capsys):
         main(["gen", "--family", "cardinality", "--n", "15", "--r", "5",

@@ -305,6 +305,7 @@ class TestQpChain:
         assert info.value.qp_count == qp_count
         assert info.value.pivot_count == 0
         assert info.value.first_qp_used_phase1 is True
+        assert info.value.jumps_tried == info.value.jumps_taken == 0
 
     @pytest.mark.parametrize("entry", ["cd-lp", "cd-t0", "cd-warm",
                                        "bisect-lp"])
@@ -344,3 +345,83 @@ class TestQpChain:
             assert first_warm is not None and first_mode == StartMode.PRIMAL_START
         for prev, (basis, mode, _) in zip(calls, calls[1:]):
             assert basis is prev[2].basis and mode == StartMode.PRIMAL_START
+
+
+class TestFixedPointJump:
+    """solve_cd jumps t to its working set's fixed point, once per set."""
+
+    def test_taken_jump_lands_on_the_fixed_point(self, monkeypatch):
+        inst = seeded(31)
+        real_qp, real_jump = conicqp.solvers.solve_qp, conicqp.solvers._fixed_point
+        events = []
+
+        def qp_spy(problem, *args, **kwargs):
+            sol = real_qp(problem, *args, **kwargs)
+            events.append(("qp", problem.sigma, sol.iterations))
+            return sol
+
+        def jump_spy(inst, sol, *args):
+            t_star = real_jump(inst, sol, *args)
+            events.append(("jump", t_star, sol.basis.status.tobytes()))
+            return t_star
+
+        monkeypatch.setattr(conicqp.solvers, "solve_qp", qp_spy)
+        monkeypatch.setattr(conicqp.solvers, "_fixed_point", jump_spy)
+        res = solve_cd(inst)
+        assert res.status == SolveStatus.OPTIMAL
+        jumps = [ev for ev in events if ev[0] == "jump"]
+        assert res.jumps_tried == len(jumps)
+        assert len({key for _, _, key in jumps}) == len(jumps)  # one per set
+        taken = [t for _, t, _ in jumps if t is not None]
+        assert res.jumps_taken == len(taken) >= 1
+        for ev, nxt in zip(events, events[1:]):
+            if ev[0] == "jump" and ev[1] is not None:
+                # the QP at t* is already solved by x(t*): no pivot
+                assert nxt[0] == "qp" and nxt[2] == 0
+                assert nxt[1] == pytest.approx(inst.omega / ev[1], rel=1e-15)
+        # the run ends with the QP at the last t*, and t* = sqrt(x'Qx) there
+        assert res.trace[-1][0] == taken[-1]
+        assert res.t == pytest.approx(taken[-1], rel=1e-12)
+        assert res.t == math.sqrt(inst.q.quad(res.x))
+
+    @pytest.mark.parametrize("t0", [None, 1e-2, 1e2], ids=["lp", "low", "high"])
+    @pytest.mark.parametrize("family", ["cardinality", "gridpath"])
+    def test_qp_after_a_jump_never_pivots(self, family, t0, monkeypatch):
+        # these runs try jumps whose root leaves the bounds of a free
+        # variable, or flips a fixed variable's reduced cost
+        real_qp, real_jump = conicqp.solvers.solve_qp, conicqp.solvers._fixed_point
+        pivots_after_jump, jumped = [], [False]
+
+        def qp_spy(*args, **kwargs):
+            sol = real_qp(*args, **kwargs)
+            if jumped[0]:
+                pivots_after_jump.append(sol.iterations)
+                jumped[0] = False
+            return sol
+
+        def jump_spy(*args):
+            t_star = real_jump(*args)
+            jumped[0] = t_star is not None
+            return t_star
+
+        monkeypatch.setattr(conicqp.solvers, "solve_qp", qp_spy)
+        monkeypatch.setattr(conicqp.solvers, "_fixed_point", jump_spy)
+        for seed in range(4):
+            res = solve_cd(seeded(seed, family=family, grid=(5, 5)),
+                           CdOptions(t0=t0))
+            assert res.status == SolveStatus.OPTIMAL
+        assert len(pivots_after_jump) >= 4
+        assert not any(pivots_after_jump)
+
+    @pytest.mark.parametrize("family", ["cardinality", "gridpath"])
+    def test_same_optimum_and_pivots_as_plain_descent(self, family,
+                                                      monkeypatch):
+        inst = seeded(32, family=family, grid=(5, 5))
+        jumped = solve_cd(inst)
+        monkeypatch.setattr(conicqp.solvers, "_fixed_point",
+                            lambda *args: None)
+        plain = solve_cd(inst)
+        assert jumped.jumps_taken >= 1 and plain.jumps_taken == 0
+        assert jumped.qp_count < plain.qp_count
+        assert jumped.pivot_count == plain.pivot_count
+        assert jumped.objective == pytest.approx(plain.objective, rel=1e-10)
