@@ -88,6 +88,8 @@ class QuadraticForm:
             )
         if self.D.shape != (n,):
             raise ValueError(f"D must have length {n}, got {self.D.shape}")
+        if not all(np.isfinite(a).all() for a in (self.F, self.sigma_factor, self.D)):
+            raise ValueError("F, sigma_factor and D must be finite")
         if np.any(self.D < 0):
             raise ValueError("D entries must be nonnegative")
         # W = F H has Q = W W' + diag(D); precomputed once, used everywhere.
@@ -193,6 +195,8 @@ class ConicInstance:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
         self.omega = float(self.omega)
+        if not math.isfinite(self.omega) or not np.all(np.isfinite(self.c)):
+            raise ValueError("c and omega must be finite")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         n = self.q.n

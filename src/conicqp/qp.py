@@ -20,7 +20,11 @@ refactorization, bordered through a Schur complement for subsequent single
 working-set changes; the Schur complement gains or loses one row and one
 column per change instead of being formed again, and each direction solve
 scales its right-hand side by ``1/sigma``.  The system is refactorized from
-scratch every 100 updates or when a growth monitor exceeds 1e8.  A
+scratch every 100 updates or when a growth monitor exceeds 1e8.  Both LUs
+and their solves call LAPACK's ``getrf`` and ``getrs`` directly, not
+through SciPy's wrappers, whose fixed cost per call exceeds a small
+bordered solve's arithmetic; each LU's pivot test (a pivot exactly zero or
+below a relative tolerance) is the only report of singularity.  A
 solution's basis carries its final factor, and the next QP on the same
 polyhedron and quadratic form adopts a copy of it when its free set
 matches, so a warm QP that takes no pivots costs one solve and no
@@ -42,7 +46,6 @@ from __future__ import annotations
 
 import copy
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,21 +85,36 @@ class StartMode(Enum):
     DUAL_START = "DualStart"
 
 
+# the routines behind scipy.linalg.lu_factor and lu_solve, without their wrappers
+_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"))
+
+
 def _inf(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v), initial=0.0))
+    return float(np.abs(v).max(initial=0.0))
 
 
 def _lu(M: np.ndarray, rtol: float, what: str):
-    """LU factors of M; raises SingularKktError on a pivot below rtol times
-    the largest.  SciPy's warning for an exactly zero pivot is silenced,
-    since the pivot test reports that case."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu = scipy.linalg.lu_factor(M, check_finite=False)
-    du = np.abs(np.diag(lu[0]))
+    """LU factors and pivots of M from LAPACK's getrf; raises
+    SingularKktError on a pivot below rtol times the largest.  That test is
+    the only report of singularity: it rejects the exactly zero pivot that
+    getrf flags, so getrf's status is not read."""
+    lu, piv, _ = _getrf(M)
+    du = np.abs(lu.diagonal())
     if du.size and (du.min() == 0.0 or du.min() < rtol * du.max()):
         raise SingularKktError(f"{what} is singular")
-    return lu
+    return lu, piv
+
+
+def _lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the factors ``_lu`` returned (LAPACK's getrs)."""
+    return _getrs(*lu, rhs)[0]
+
+
+def _zero_padded(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A zero array of ``shape`` with ``a`` in its leading block."""
+    out = np.zeros(shape)
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
 
 
 @dataclass
@@ -255,7 +273,7 @@ class _KktFactor:
     def _k0_solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.N0 == 0:
             return np.zeros(0)
-        return scipy.linalg.lu_solve(self.lu, rhs, check_finite=False)
+        return _lu_solve(self.lu, rhs)
 
     def _mark_update(self):
         self._s_lu = None
@@ -269,13 +287,13 @@ class _KktFactor:
         formed apart, as ``C - B'Y`` forms them, so S keeps the round-off
         asymmetry a from-scratch product would have."""
         y = self._k0_solve(col)
-        if y.size and np.max(np.abs(y)) > GROWTH_LIMIT:
+        if _inf(y) > GROWTH_LIMIT:
             self.needs_refactor = True
         k = len(self.border)
         if k == len(self._c):  # full: double the spare rows
-            self._bt, self._yt = (np.pad(a, ((0, k), (0, 0)))
+            self._bt, self._yt = (_zero_padded(a, (2 * k, self.N0))
                                   for a in (self._bt, self._yt))
-            self._c, self._s = (np.pad(a, ((0, k), (0, k)))
+            self._c, self._s = (_zero_padded(a, (2 * k, 2 * k))
                                 for a in (self._c, self._s))
         self._bt[k], self._yt[k] = col, y
         self._c[:k, k] = self._c[k, :k] = cross
@@ -338,8 +356,7 @@ class _KktFactor:
         else:
             if self._s_lu is None:
                 self._s_lu = _lu(self.S, 1e-13, "border Schur complement")
-            w = scipy.linalg.lu_solve(self._s_lu, rhsb - self.Y.T @ rhs0,
-                                      check_finite=False)
+            w = _lu_solve(self._s_lu, rhsb - self.Y.T @ rhs0)
             z = z - self.Y @ w
         scale = 1.0 + max(_inf(rhs0), _inf(rhsb))
         r0 = self.K0 @ z - rhs0
@@ -482,20 +499,24 @@ class ActiveSetEngine:
         return kept
 
     def _ensure_row_rank(self, rows: np.ndarray):
-        """Free additional variables until A[rows, free] has full row rank."""
+        """Free additional variables until A[rows, free] has full row rank.
+
+        One pivoted QR without Q decides the rank; only a deficient block
+        is factored again, with Q, for the basis of its column span."""
         if rows.size == 0:
             return
         free = self._free_idx()
+        rank = 0
         if free.size:
-            q, r, _ = scipy.linalg.qr(self.A[np.ix_(rows, free)],
-                                      mode="economic", pivoting=True)
+            M = self.A[np.ix_(rows, free)]
+            r, _ = scipy.linalg.qr(M, mode="r", pivoting=True)
             diag = np.abs(np.diag(r))
             tol = 1e-11 * max(1.0, diag.max(initial=0.0))
             rank = int(np.sum(diag > tol))
-            U = q[:, :rank]
-        else:
-            rank = 0
-            U = np.zeros((rows.size, 0))
+        if rank == rows.size:
+            return
+        U = (scipy.linalg.qr(M, mode="economic", pivoting=True)[0][:, :rank]
+             if rank else None)
         candidates = np.flatnonzero((self.status != BASIC) & ~self.pinned)
         while rank < rows.size:
             if candidates.size == 0:

@@ -150,6 +150,19 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="lower"):
             load_instance(path)
 
+    def test_nan_in_factor_rejected(self, tmp_path):
+        # Python's JSON parser reads NaN, so the model must refuse it
+        inst = gen_cardinality(GenSpec(family="cardinality", n=10, r=2,
+                                       alpha=0.5, omega=1.0, seed=0))
+        path = tmp_path / "nan.json"
+        save_instance(inst, path)
+        doc = json.loads(path.read_text())
+        doc["F"][3][1] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match="instance file .*finite"):
+            load_instance(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         inst = gen_cardinality(GenSpec(family="cardinality", n=10, r=2,
                                        alpha=0.5, omega=1.0, seed=0))

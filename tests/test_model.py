@@ -33,6 +33,26 @@ def simplex_instance(c=(0.0, 0.0), omega=1.0):
                          q=identity_form(2), poly=poly)
 
 
+class TestNonFiniteDataRejected:
+    @pytest.mark.parametrize("field", ["F", "sigma_factor", "D"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_quadratic_form(self, field, value):
+        data = dict(F=np.ones((3, 2)), sigma_factor=np.eye(2), D=np.ones(3))
+        data[field].flat[0] = value
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticForm(**data)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_cost(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            simplex_instance(c=(value, 0.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_omega(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            simplex_instance(omega=value)
+
+
 class TestEvalObjective:
     def test_symmetric_point(self):
         inst = simplex_instance()

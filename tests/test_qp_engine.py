@@ -1,7 +1,10 @@
 """Active-set QP engine: examples, warm starts, dual restarts, invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import OptimizeResult
 
 import conicqp.qp
@@ -21,7 +24,14 @@ from conicqp import (
     solve_qp,
 )
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path, gen_quadratic
-from conicqp.qp import BASIC, MAX_UPDATES, ActiveSetEngine, _KktFactor, _lu
+from conicqp.qp import (
+    BASIC,
+    MAX_UPDATES,
+    ActiveSetEngine,
+    _KktFactor,
+    _lu,
+    _lu_solve,
+)
 
 from oracles import enumerate_tiny_qp, projected_gradient_qp
 from test_bad_inputs import bad_instance
@@ -433,6 +443,28 @@ class TestBorderSchurComplement:
             np.testing.assert_array_equal(got, want)
         self.check(fac, rng)
 
+    def test_growth_keeps_border_contents(self):
+        # a base of order 4 makes B' and Y' as square as C and S
+        rng = np.random.default_rng(13)
+        p = random_problem(rng, n=16, m=1, sigma=1.0)
+        fac = _KktFactor(p.poly, p.quad, np.zeros(p.poly.n, dtype=bool),
+                         np.arange(1), np.arange(3))
+        assert fac._bt.shape == fac._c.shape == (4, 4)
+        fac.fix(1)
+        for j in range(3, 13):
+            cap, before = len(fac._c), self.border_arrays(fac)
+            fac.free(j)
+            if len(fac._c) == cap:
+                continue
+            k = len(fac.border) - 1  # the entry written after the growth
+            assert fac._bt.shape == fac._yt.shape == (2 * cap, fac.N0)
+            assert fac._c.shape == fac._s.shape == (2 * cap, 2 * cap)
+            for got, old in zip(self.border_arrays(fac), before):
+                np.testing.assert_array_equal(got[:cap, :old.shape[1]], old)
+                assert not got[k + 1:].any() and not got[:, old.shape[1] + 1:].any()
+        assert len(fac._c) == 16
+        self.check(fac, rng)
+
     def test_rejected_s_is_singular_from_scratch(self, monkeypatch):
         # bad-input corpus instance 502: under solve_bisection the Schur LU's
         # pivot test rejects S after nearly every pivot (Bland mode, pivot
@@ -459,6 +491,38 @@ class TestBorderSchurComplement:
                 _lu(fresh, 1e-13, "border Schur complement")
         if res.status in (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED):
             assert_certified(inst, res)
+
+
+class TestLapackKernels:
+    """``_lu`` and ``_lu_solve`` call LAPACK directly; they must return
+    what SciPy's ``lu_factor`` and ``lu_solve`` return, bit for bit."""
+
+    def test_exactly_singular_raises_without_warning(self):
+        M = np.random.default_rng(14).normal(size=(6, 6))
+        M[:, 2] = 0.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SingularKktError, match="test matrix is singular"):
+                _lu(M, 1e-14, "test matrix")
+        assert caught == []
+
+    def test_bit_identical_to_scipy_wrappers(self):
+        rng = np.random.default_rng(15)
+        for n in (1, 2, 5, 8, 17, 40):
+            big = rng.normal(size=(2 * n, 2 * n))
+            # a contiguous matrix and a strided view, as _KktFactor.S is
+            for M in (big[n:, n:].copy(), big[:n, :n]):
+                before = M.copy()
+                lu = _lu(M, 1e-14, "test matrix")
+                ref = scipy.linalg.lu_factor(M, check_finite=False)
+                np.testing.assert_array_equal(lu[0], ref[0])
+                np.testing.assert_array_equal(lu[1], ref[1])
+                rhs = rng.normal(size=n)
+                got = _lu_solve(lu, rhs)
+                assert got.shape == (n,)
+                assert np.array_equal(
+                    got, scipy.linalg.lu_solve(ref, rhs, check_finite=False))
+                assert np.array_equal(M, before)  # factored in a copy
 
 
 def assert_certified(inst, res):
