@@ -63,7 +63,6 @@ from .model import (
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
-COMP_TOL = 1e-9
 RATIO_TOL = 1e-11
 DEGEN_STEP = 1e-12
 BLAND_TRIGGER = 50
@@ -108,6 +107,16 @@ def _lu(M: np.ndarray, rtol: float, what: str):
 def _lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
     """Solve with the factors ``_lu`` returned (LAPACK's getrs)."""
     return _getrs(*lu, rhs)[0]
+
+
+def _qr_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
+    """Numerical rank of M and the column order of its pivoted QR (R only):
+    the count of |r_ii| above 1e-11 max(1, |r_11|).  An empty M has rank 0
+    and the identity order."""
+    r, piv = scipy.linalg.qr(M, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = 1e-11 * max(1.0, diag.max(initial=0.0))
+    return int(np.sum(diag > tol)), piv
 
 
 def _zero_padded(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -210,12 +219,10 @@ class _KktFactor:
         nb, mr = len(self.base_free), len(self.rows)
         self.nb, self.mr, self.N0 = nb, mr, nb + mr
         K0 = np.zeros((self.N0, self.N0))
-        if nb:
-            K0[:nb, :nb] = quad.block(self.base_free, self.base_free)
-        if mr and nb:
-            Afb = self.A[np.ix_(self.rows, self.base_free)]
-            K0[:nb, nb:] = Afb.T
-            K0[nb:, :nb] = Afb
+        K0[:nb, :nb] = quad.block(self.base_free, self.base_free)
+        Afb = self.A[np.ix_(self.rows, self.base_free)]
+        K0[:nb, nb:] = Afb.T
+        K0[nb:, :nb] = Afb
         self.K0 = K0
         self.lu = _lu(K0, 1e-14, "base KKT matrix") if self.N0 else None
         self.border: list[tuple[str, int]] = []
@@ -381,22 +388,19 @@ def _kkt_step(fac: _KktFactor, d: np.ndarray, sigma: float, n: int, m: int,
     """
     g = d / -sigma
     rhs0 = np.zeros(fac.N0)
-    if fac.nb:
-        rhs0[: fac.nb] = g[fac.base_free]
-    if fac.mr and eq_resid is not None:
+    rhs0[: fac.nb] = g[fac.base_free]
+    if eq_resid is not None:
         rhs0[fac.nb:] = eq_resid[fac.rows]
     rhsb = np.array(
         [g[j] if kind == "free" else 0.0 for kind, j in fac.border]
     )
     z, w = fac.solve(rhs0, rhsb)
     p = np.zeros(n)
-    if fac.nb:
-        p[fac.base_free] = z[: fac.nb]
+    p[fac.base_free] = z[: fac.nb]
     for i, (kind, j) in enumerate(fac.border):
         p[j] = w[i] if kind == "free" else 0.0
     lam = np.zeros(m)
-    if fac.mr:
-        lam[fac.rows] = -sigma * z[fac.nb:]
+    lam[fac.rows] = -sigma * z[fac.nb:]
     return p, lam
 
 
@@ -435,7 +439,6 @@ class ActiveSetEngine:
         self._degen_streak = 0
         self._bland = False
         self._rows_cache: np.ndarray | None = None
-        self._last_lam = np.zeros(self.m)
 
     # ------------------------------------------------------------------
     # Hessian products
@@ -466,19 +469,10 @@ class ActiveSetEngine:
         """
         if self._rows_cache is not None:
             return self._rows_cache
-        if self.m == 0:
-            self._rows_cache = np.zeros(0, dtype=int)
-            return self._rows_cache
         live = np.flatnonzero(~self.pinned)
         M = self.A[:, live]
         scale = 1.0 + _inf(self.poly.b) + _inf(self.A)
-        if live.size == 0:
-            rank, piv = 0, np.arange(self.m)
-        else:
-            r, piv = scipy.linalg.qr(M.T, mode="r", pivoting=True)
-            diag = np.abs(np.diag(r))
-            tol = 1e-11 * max(1.0, diag.max(initial=0.0))
-            rank = int(np.sum(diag > tol))
+        rank, piv = _qr_rank(M.T)
         kept = np.sort(piv[:rank])
         dropped = np.sort(piv[rank:])
         if dropped.size:
@@ -503,16 +497,8 @@ class ActiveSetEngine:
 
         One pivoted QR without Q decides the rank; only a deficient block
         is factored again, with Q, for the basis of its column span."""
-        if rows.size == 0:
-            return
-        free = self._free_idx()
-        rank = 0
-        if free.size:
-            M = self.A[np.ix_(rows, free)]
-            r, _ = scipy.linalg.qr(M, mode="r", pivoting=True)
-            diag = np.abs(np.diag(r))
-            tol = 1e-11 * max(1.0, diag.max(initial=0.0))
-            rank = int(np.sum(diag > tol))
+        M = self.A[np.ix_(rows, self._free_idx())]
+        rank, _ = _qr_rank(M)
         if rank == rows.size:
             return
         U = (scipy.linalg.qr(M, mode="economic", pivoting=True)[0][:, :rank]
@@ -626,44 +612,40 @@ class ActiveSetEngine:
         k = int(cand[order[0]])
         return float(alphas[k]), int(idx[k]), int(side[k])
 
-    def _primal_loop(self) -> QpStatus:
+    def _primal_loop(self) -> tuple[QpStatus, np.ndarray]:
+        """Primal active-set pivots from a feasible x; returns the status and
+        the equality multipliers of the last direction solve."""
         d = self._gradient()
         refresh = 0
-        at_opt = False
         lam = np.zeros(self.m)
         while True:
             if self.pivots >= self.pivot_cap:
-                self._last_lam = lam
-                return QpStatus.ITER_LIMIT
-            if not at_opt:
-                p, lam = self._direction(d)
-                if _inf(p[self._free_idx()]) > 1e-11 * (1.0 + _inf(self.x)):
-                    alpha_max, blocker, side = self._ratio_test(p)
-                    alpha = min(1.0, alpha_max)
-                    if alpha > 0:
-                        self.x += alpha * p
-                        d += alpha * self._hmatvec(p)
-                        refresh += 1
-                        if refresh >= 64:
-                            d = self._gradient()
-                            refresh = 0
-                    if alpha_max < 1.0:
-                        self._fix_var(blocker, side)
-                        self._count_pivot(("block", int(blocker), int(side)), alpha)
-                        continue
-                    # full step: x is now the EQP optimum and lam from this
-                    # solve certifies it
-                    d = self._gradient()
-                    refresh = 0
-                at_opt = True
-            rc = d - self.A.T @ lam if self.m else d.copy()
+                return QpStatus.ITER_LIMIT, lam
+            p, lam = self._direction(d)
+            if _inf(p[self._free_idx()]) > 1e-11 * (1.0 + _inf(self.x)):
+                alpha_max, blocker, side = self._ratio_test(p)
+                alpha = min(1.0, alpha_max)
+                if alpha > 0:
+                    self.x += alpha * p
+                    d += alpha * self._hmatvec(p)
+                    refresh += 1
+                    if refresh >= 64:
+                        d = self._gradient()
+                        refresh = 0
+                if alpha_max < 1.0:
+                    self._fix_var(blocker, side)
+                    self._count_pivot(("block", int(blocker), int(side)), alpha)
+                    continue
+                # full step: x is now the EQP optimum and lam from this
+                # solve certifies it
+                d = self._gradient()
+                refresh = 0
+            rc = d - self.A.T @ lam
             j, side_viol = self._worst_violation(rc)
             if j is None:
-                self._last_lam = lam
-                return QpStatus.OPTIMAL
+                return QpStatus.OPTIMAL, lam
             self._free_var(j)
             self._count_pivot(("drop", int(j), int(side_viol)), 0.0)
-            at_opt = False
 
     def _worst_violation(self, rc: np.ndarray) -> tuple[int | None, int]:
         viol_tol = 0.5 * OPT_TOL
@@ -705,7 +687,7 @@ class ActiveSetEngine:
         self._build_factor()
         for _ in range(self.pivot_cap + 1):
             d = self._gradient()
-            resid = self.poly.b - self.A @ self.x if self.m else None
+            resid = self.poly.b - self.A @ self.x
             p, _ = self._direction(d, resid)
             xn = self.x + p
             free = self._free_idx()
@@ -787,7 +769,7 @@ class ActiveSetEngine:
             state, resumed_at = None, None
             while state is None:
                 try:
-                    state = self._primal_loop()
+                    state, lam = self._primal_loop()
                 except SingularKktError:
                     if self.pivots == resumed_at:
                         raise  # no pivot since the last refactorization
@@ -795,7 +777,7 @@ class ActiveSetEngine:
                     self._refactor()
         except InfeasibleError:
             return self._package(np.zeros(self.m), QpStatus.INFEASIBLE)
-        return self._package(self._last_lam, state)
+        return self._package(lam, state)
 
     def _package(self, lam: np.ndarray, state: QpStatus) -> QpSolution:
         mu_lower = np.zeros(self.n)
@@ -890,21 +872,16 @@ def solve_qp(problem: QpProblem, warm: WorkingBasis | None = None,
              warm_x: np.ndarray | None = None,
              pivot_cap: int | None = None,
              track_objective: bool = False) -> QpSolution:
-    """Solve a convex QP over {Ax = b, l <= x <= u} with the active-set engine.
+    """Solve a convex QP (sigma > 0) over {Ax = b, l <= x <= u} with the
+    active-set engine; LPs go to ``solve_lp`` and raise ``ValueError`` here.
 
     ``warm`` carries the variable statuses of a related solve.  PrimalStart
-    restores primal feasibility first through Phase-1 (bound projection,
-    then the LP vertex only if the equalities fail; a cold start always
-    needs the LP); DualStart treats the basis as dual feasible and fixes
-    bound-violating variables until primal feasible, which is the cheap
-    restart after tightening bounds.  LPs (sigma = 0) go to ``solve_lp``,
-    which solves cold, ignores the warm-start and pivot arguments, and
-    raises where the engine returns a status.  A Phase-1 LP that HiGHS
-    leaves unsolved raises ``LpFailureError``; a KKT system that stays
-    singular through the engine's recovery raises ``SingularKktError``.
+    restores primal feasibility through Phase-1; DualStart fixes
+    bound-violating variables of a dual-feasible basis, the cheap restart
+    after tightening bounds.  A Phase-1 LP that HiGHS leaves unsolved raises
+    ``LpFailureError``; a KKT system that stays singular through the
+    engine's recovery raises ``SingularKktError``.
     """
-    if problem.sigma == 0:
-        return solve_lp(problem)
     eng = ActiveSetEngine(problem, pivot_cap=pivot_cap,
                           track_objective=track_objective)
     return eng.solve(warm, mode, warm_x)

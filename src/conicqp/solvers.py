@@ -77,22 +77,29 @@ BISECT_GAP_TOL = 1e-6     # relative gap between incumbent and lower bound
 
 @dataclass
 class CdOptions:
-    """Coordinate-descent options; ``t0=None`` means "solve the LP first"."""
+    """Coordinate-descent options; ``t0=None`` means "solve the LP first".
+
+    ``qp_eps`` is the constant the dual-bound estimate adds; no option
+    changes the engine's pricing threshold (``OPT_TOL/2`` = 5e-10)."""
 
     t0: float | None = None
     delta: float = 1e-5
     qp_eps: float = 1e-9
 
     def __post_init__(self):
-        if self.t0 is not None and not self.t0 > 0:
-            raise ValueError("t0 must be positive (or None for the LP start)")
+        # t0 = inf would ask the QP engine for an LP, which only solve_lp runs
+        if self.t0 is not None and not 0 < self.t0 < math.inf:
+            raise ValueError("t0 must be positive and finite "
+                             "(or None for the LP start)")
         if not self.delta > self.qp_eps:
-            raise ValueError("delta must exceed the engine tolerance qp_eps")
+            raise ValueError("delta must exceed qp_eps, the estimate's floor")
 
 
 @dataclass
 class BisectOptions:
-    """Bisection options; the bracket always starts from the LP relaxation."""
+    """Bisection options; the bracket always starts from the LP relaxation.
+
+    ``qp_eps`` is as for ``CdOptions``, not an engine tolerance."""
 
     delta: float = 1e-5
     qp_eps: float = 1e-9
@@ -100,7 +107,7 @@ class BisectOptions:
     def __post_init__(self):
         # the stopping estimate is at least qp_eps, so it must stay below delta
         if not self.delta > self.qp_eps:
-            raise ValueError("delta must exceed the engine tolerance qp_eps")
+            raise ValueError("delta must exceed qp_eps, the estimate's floor")
 
 
 def _lp_relaxation(inst: ConicInstance) -> QpSolution:
@@ -276,8 +283,8 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
 
     if warm is not None:
         basis, t_i = warm
-        if not t_i > 0:
-            raise ValueError("warm t must be positive")
+        if not 0 < t_i < math.inf:
+            raise ValueError("warm t must be positive and finite")
         chain = _QpChain(inst, basis, mode=StartMode.DUAL_START)
     elif opt.t0 is None:
         sol = _lp_relaxation(inst)

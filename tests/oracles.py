@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from conicqp import QpProblem, solve_qp, subproblem_objective
+from conicqp import QpProblem, solve_lp, solve_qp, subproblem_objective
 
 
 class _DualProjector:
@@ -187,7 +187,7 @@ def golden_section_g(inst, t_hi: float | None = None, tol: float = 1e-9,
     warm-started along the search); returns the best objective seen.
     """
     if t_hi is None:
-        lp = solve_qp(subproblem_objective(inst, math.inf))
+        lp = solve_lp(subproblem_objective(inst, math.inf))
         t_hi = max(math.sqrt(max(inst.q.quad(lp.x), 0.0)), 1e-6) * (1 + 1e-9)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     prev = None

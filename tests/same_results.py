@@ -10,11 +10,13 @@ each workload of ``perfbench/workloads.py``, the instance set is built by
 that module's ``set_up`` and every instance is solved, loaded afresh, by
 each of the workload's drivers.  The JSON file records, per convex solve,
 the objective's ``repr``, the status, the stop reason, the pivots of every
-QP and the SHA-256 of the bytes of ``x``; per B&B tree, the status, the
+QP, the SHA-256 of the bytes of ``x``, the fixed-point jumps tried and
+taken, and whether the first QP ran Phase-1; per B&B tree, the status, the
 incumbent's bytes and objective, and the node, QP, pivot, warm-accept,
-repair, infeasible-node and uncertified-node counts.  Two versions of the
-code give the same results on these sets exactly when their files are
-identical (``cmp``).
+repair, infeasible-node, uncertified-node and jump counts.  Two versions
+of the code give the same results on these sets exactly when their files
+are identical (``cmp``): run this same script once with ``PYTHONPATH`` at
+each version's ``src``.
 
 Only ``perfbench/workloads.py`` is imported from the benchmark, and
 nothing there is changed.  Pytest does not collect this file; a run at two
@@ -38,7 +40,9 @@ from workloads import DRIVERS, WORKLOADS, set_up  # noqa: E402
 def convex_record(res) -> dict:
     return {"objective": repr(res.objective), "status": res.status.value,
             "stop_reason": res.stop_reason, "qp_pivots": list(res.qp_pivots),
-            "x_sha256": hashlib.sha256(res.x.tobytes()).hexdigest()}
+            "x_sha256": hashlib.sha256(res.x.tobytes()).hexdigest(),
+            "jumps_tried": res.jumps_tried, "jumps_taken": res.jumps_taken,
+            "first_qp_used_phase1": res.first_qp_used_phase1}
 
 
 def bnb_record(res) -> dict:
@@ -49,7 +53,8 @@ def bnb_record(res) -> dict:
             "nodes": res.nodes_processed, "qps": res.qp_count,
             "pivots": res.pivot_count, "accepts": res.warm_accepts,
             "repairs": res.warm_repairs, "infeasible": res.infeasible_nodes,
-            "uncertified": res.uncertified_nodes}
+            "uncertified": res.uncertified_nodes,
+            "jumps_tried": res.jumps_tried, "jumps_taken": res.jumps_taken}
 
 
 def results(seeds: list[int]) -> dict:

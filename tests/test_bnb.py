@@ -110,6 +110,33 @@ class TestEnumerationOracle:
             best = min(best, eval_objective(inst, v))
         assert obj == pytest.approx(best, rel=1e-12)
 
+    @staticmethod
+    def _two_row_instance(b):
+        """Binary, two equality rows: neither a cardinality nor a grid
+        polytope, so the oracle enumerates all 2^n points."""
+        rng = np.random.default_rng(8)
+        q = QuadraticForm(F=rng.uniform(-1, 1, (8, 3)),
+                          sigma_factor=rng.uniform(-1, 1, (3, 3)),
+                          D=rng.uniform(0.1, 1.0, 8))
+        A = np.array([[1.0] * 4 + [0.0] * 4, [0.0] * 4 + [1.0] * 4])
+        return ConicInstance(c=rng.uniform(-2, 0, 8), omega=1.5, q=q,
+                             poly=Polyhedron(A, b, np.zeros(8), np.ones(8)),
+                             integer_vars=tuple(range(8)))
+
+    def test_generic_binary_fallback_matches_bnb(self):
+        inst = self._two_row_instance([2.0, 1.0])
+        x, obj = enumeration_oracle(inst)
+        np.testing.assert_array_equal([x[:4].sum(), x[4:].sum()], [2.0, 1.0])
+        assert obj == pytest.approx(eval_objective(inst, x), rel=1e-12)
+        res = solve_bnb(inst)
+        assert res.status in (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
+        assert abs(res.incumbent_obj - obj) <= 1e-4 * max(1.0, abs(obj))
+
+    def test_generic_binary_fallback_without_binary_point(self):
+        # x0..x3 sum to 1.5: feasible for the relaxation, never for 0/1 values
+        with pytest.raises(InfeasibleError):
+            enumeration_oracle(self._two_row_instance([1.5, 1.0]))
+
     def test_non_binary_rejected(self):
         inst = gen_cardinality(GenSpec(family="cardinality", n=10, r=3,
                                        alpha=0.3, omega=1.0, seed=0))

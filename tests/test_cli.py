@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import conicqp.qp
 from conicqp import ConicInstance, Polyhedron, QuadraticForm, save_instance
 from conicqp.cli import EXIT_INFEASIBLE, EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
 
@@ -51,6 +53,19 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "cardinality", "--out", "x"])
         assert exc.value.code == EXIT_USAGE
+
+    def test_malformed_grid_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "gridpath", "--grid", "4by4",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_USAGE
+        assert "grid must look like 4x4" in capsys.readouterr().err
+
+    def test_gridpath_without_grid_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "gridpath", "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_USAGE
+        assert "requires --grid" in capsys.readouterr().err
 
 
 class TestSolve:
@@ -134,6 +149,13 @@ class TestSolve:
         rc = main(["solve", "--alg", alg, "--instance", str(path)])
         assert rc == EXIT_LIMIT
         assert "QP not solved" in capsys.readouterr().err
+
+    def test_unsolved_lp_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(conicqp.qp, "linprog", lambda *a, **k: OptimizeResult(
+            status=1, message="Iteration limit reached.", x=None, nit=1))
+        inst = write_simplex_instance(tmp_path / "s.json")
+        assert main(["solve", "--instance", str(inst)]) == EXIT_LIMIT
+        assert "LP not solved" in capsys.readouterr().err
 
     def test_uncertified_not_solved(self, tmp_path, capsys):
         path = tmp_path / "offset.json"
@@ -280,6 +302,32 @@ class TestBench:
             group = [r for r in per_run if r["method"] == mean_row["method"]]
             want = sum(float(r["objective"]) for r in group) / len(group)
             assert float(mean_row["objective"]) == pytest.approx(want, rel=1e-12)
+
+    def test_typed_failure_writes_unsolved_row(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        save_instance(singular_instance(), tmp_path / "d" / "singular.json")
+        out_csv = tmp_path / "bench.csv"
+        rc = main(["bench", "--dir", str(tmp_path / "d"), "--methods", "cd",
+                   "--csv", str(out_csv)])
+        assert rc == EXIT_OK
+        with out_csv.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["instance"] for r in rows] == ["singular.json", "mean[1]"]
+        for r in rows:
+            assert r["solved"] == "False"
+            assert math.isnan(float(r["objective"]))
+
+    def test_bnb_skipped_on_convex_instance(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        write_simplex_instance(tmp_path / "d" / "s.json")
+        out_csv = tmp_path / "bench.csv"
+        rc = main(["bench", "--dir", str(tmp_path / "d"), "--methods",
+                   "cd,bnb-cd", "--csv", str(out_csv)])
+        assert rc == EXIT_OK
+        with out_csv.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["instance"], r["method"]) for r in rows] == [
+            ("s.json", "cd"), ("mean[1]", "cd")]
 
     def test_empty_dir_is_usage_error(self, tmp_path):
         assert main(["bench", "--dir", str(tmp_path), "--csv",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conicqp import (
     ConicInstance,
@@ -51,6 +52,16 @@ class TestNonFiniteDataRejected:
     def test_omega(self, value):
         with pytest.raises(ValueError, match="finite"):
             simplex_instance(omega=value)
+
+
+class TestPolyhedron:
+    def test_sparse_matrix_becomes_dense(self):
+        A = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+        poly = Polyhedron(A=scipy.sparse.csr_matrix(A), b=[1.0, 2.0],
+                          lower=np.zeros(3), upper=np.ones(3))
+        assert type(poly.A) is np.ndarray
+        np.testing.assert_array_equal(poly.A, A)
+        assert (poly.m, poly.n) == (2, 3)
 
 
 class TestEvalObjective:

@@ -21,6 +21,7 @@ from conicqp import (
     StartMode,
     solve_bisection,
     solve_cd,
+    solve_lp,
     solve_qp,
 )
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path, gen_quadratic
@@ -28,9 +29,11 @@ from conicqp.qp import (
     BASIC,
     MAX_UPDATES,
     ActiveSetEngine,
+    WorkingBasis,
     _KktFactor,
     _lu,
     _lu_solve,
+    scale_ray,
 )
 
 from oracles import enumerate_tiny_qp, projected_gradient_qp
@@ -73,7 +76,7 @@ class TestExamples:
     def test_lp_vertex(self):
         p = QpProblem(linear=np.array([1.0, 2.0]), quad=identity_form(2),
                       sigma=0.0, offset=0.0, poly=simplex_poly())
-        s = solve_qp(p)
+        s = solve_lp(p)
         np.testing.assert_allclose(s.x, [1.0, 0.0], atol=1e-9)
         assert s.objective == pytest.approx(1.0, abs=1e-9)
 
@@ -106,13 +109,68 @@ class TestExamples:
         assert s.status in (QpStatus.ITER_LIMIT, QpStatus.OPTIMAL)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("change, message", [
+        (dict(sigma=-1.0), "nonnegative"),
+        (dict(quad=None), "quadratic form"),
+        (dict(linear=np.zeros(3)), "wrong length"),
+    ])
+    def test_problem_rejected(self, change, message):
+        data = dict(linear=np.zeros(2), quad=identity_form(2), sigma=1.0,
+                    offset=0.0, poly=simplex_poly())
+        with pytest.raises(ValueError, match=message):
+            QpProblem(**(data | change))
+
+    @pytest.mark.parametrize("start, message", [
+        (dict(warm=WorkingBasis(np.zeros(3, dtype=np.int8))), "warm basis"),
+        (dict(warm_x=np.zeros(3)), "warm point"),
+    ])
+    def test_warm_start_of_wrong_length_rejected(self, start, message):
+        p = QpProblem(linear=np.zeros(2), quad=identity_form(2), sigma=1.0,
+                      offset=0.0, poly=simplex_poly())
+        with pytest.raises(ValueError, match=message):
+            solve_qp(p, **start)
+
+
+class TestAllPinned:
+    """Every variable pinned (lower == upper): no live column spans a row."""
+
+    @staticmethod
+    def _problem(b):
+        poly = Polyhedron(A=[[1.0, 1.0], [1.0, -1.0]], b=b, lower=[0.25, 0.75],
+                          upper=[0.25, 0.75])
+        return QpProblem(linear=np.array([1.0, -2.0]), quad=identity_form(2),
+                         sigma=1.0, offset=0.0, poly=poly)
+
+    def test_consistent_rows_optimal_at_the_pinned_point(self, monkeypatch):
+        kept = []
+        spy(monkeypatch, "_kept_rows", lambda eng, rows: kept.append(rows.size))
+        p = self._problem([1.0, -0.5])
+        s = solve_qp(p)
+        assert s.status == QpStatus.OPTIMAL
+        np.testing.assert_array_equal(s.x, [0.25, 0.75])
+        assert kept == [0]  # both rows implied by the pins and dropped
+        assert stationarity(p, s) == 0.0
+
+    def test_inconsistent_rows_under_a_dual_start_are_infeasible(
+            self, monkeypatch):
+        warm = solve_qp(self._problem([1.0, -0.5]))
+        starts = []
+        spy(monkeypatch, "_phase1", lambda eng, _: starts.append(1))
+        # x0 - x1 = 0 fails at the pinned point: the row analysis finds it
+        s = solve_qp(self._problem([1.0, 0.0]), warm=warm.basis,
+                     mode=StartMode.DUAL_START, warm_x=warm.x)
+        assert s.status == QpStatus.INFEASIBLE
+        assert starts == []
+
+
 class TestLp:
     def test_enumeration_oracle_and_multipliers(self):
         rng = np.random.default_rng(55)
         worst_stat = worst_comp = 0.0
         for _ in range(200):
             p = random_problem(rng, n=int(rng.integers(1, 7)), sigma=0.0)
-            s = solve_qp(p)
+            s = solve_lp(p)
             assert s.status == QpStatus.OPTIMAL
             _, ref = enumerate_tiny_qp(p)
             assert abs(s.objective - ref) <= 1e-9 * (1 + abs(ref))
@@ -124,13 +182,19 @@ class TestLp:
         assert worst_stat <= 1e-9
         assert worst_comp <= 1e-7
 
+    def test_solve_qp_refuses_an_lp(self):
+        lp = QpProblem(linear=np.array([1.0, 2.0]), quad=identity_form(2),
+                       sigma=0.0, offset=0.0, poly=simplex_poly())
+        with pytest.raises(ValueError, match="solve_lp"):
+            solve_qp(lp)
+
     def test_highs_without_answer_raises(self, monkeypatch):
         monkeypatch.setattr(conicqp.qp, "linprog", lambda *a, **k: OptimizeResult(
             status=1, message="Iteration limit reached.", x=None, nit=1))
         lp = QpProblem(linear=np.array([1.0, 2.0]), quad=identity_form(2),
                        sigma=0.0, offset=0.0, poly=simplex_poly())
         with pytest.raises(LpFailureError):
-            solve_qp(lp)
+            solve_lp(lp)
         # a cold QP needs a Phase-1 vertex from the same LP solver
         qp = QpProblem(linear=np.zeros(2), quad=identity_form(2), sigma=1.0,
                        offset=0.0, poly=simplex_poly())
@@ -210,14 +274,13 @@ class TestReoptimize:
     def test_lp_vertex_tightening(self):
         p = QpProblem(linear=np.array([1.0, 2.0, 3.0]), quad=identity_form(3),
                       sigma=0.0, offset=0.0, poly=simplex_poly(3))
-        base = solve_qp(p)
+        base = solve_lp(p)
         np.testing.assert_allclose(base.x, [1, 0, 0], atol=1e-9)
         up = p.poly.upper.copy()
         up[0] = 0.0
         p2 = QpProblem(linear=p.linear, quad=p.quad, sigma=0.0, offset=0.0,
                        poly=Polyhedron(p.poly.A, p.poly.b, p.poly.lower, up))
-        res = solve_qp(p2, warm=base.basis, mode=StartMode.DUAL_START,
-                       warm_x=base.x)
+        res = solve_lp(p2)  # LPs solve cold: HiGHS takes no warm basis
         np.testing.assert_allclose(res.x, [0, 1, 0], atol=1e-9)
 
     def test_child_objective_dominates_parent(self):
@@ -322,6 +385,14 @@ class TestFactorHandover:
             scale = np.max(np.abs(ref))
             np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * scale)
             assert not step[sol.basis.status != BASIC].any()
+
+    def test_scale_ray_needs_a_factor(self):
+        rng = np.random.default_rng(5)
+        p = random_problem(rng, n=10, m=3, sigma=1.0)
+        assert scale_ray(p, solve_qp(p)) is not None
+        lp = solve_lp(with_sigma(p, 0.0))  # HiGHS hands over no factor
+        assert lp.basis.factor is None
+        assert scale_ray(p, lp) is None
 
     def test_cd_chain_reuses_matching_factors(self, monkeypatch):
         calls = []

@@ -73,6 +73,11 @@ class TestOptions:
         with pytest.raises(ValueError):
             CdOptions(t0=0.0)
 
+    def test_infinite_t0_rejected(self):
+        # t = inf is the LP relaxation, which the t0=None start solves
+        with pytest.raises(ValueError, match="finite"):
+            CdOptions(t0=math.inf)
+
     def test_bisect_delta_must_exceed_engine_tol(self):
         # bisection stops only once qp_eps + ... <= delta, which this never meets
         with pytest.raises(ValueError):
@@ -80,6 +85,12 @@ class TestOptions:
 
 
 class TestCoordinateDescent:
+    @pytest.mark.parametrize("t", [0.0, math.inf])
+    def test_warm_t_must_be_positive_and_finite(self, t):
+        first = solve_cd(simplex_instance())
+        with pytest.raises(ValueError, match="warm t"):
+            solve_cd(simplex_instance(), warm=(first.basis, t))
+
     def test_symmetric_simplex(self):
         res = solve_cd(simplex_instance(), CdOptions(t0=1.0))
         np.testing.assert_allclose(res.x, [0.5, 0.5], atol=1e-8)
