@@ -63,6 +63,7 @@ from .model import (
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
+PRICE_TOL = 0.5 * OPT_TOL  # a fixed variable prices in above this
 RATIO_TOL = 1e-11
 DEGEN_STEP = 1e-12
 BLAND_TRIGGER = 50
@@ -117,6 +118,16 @@ def _qr_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
     diag = np.abs(np.diag(r))
     tol = 1e-11 * max(1.0, diag.max(initial=0.0))
     return int(np.sum(diag > tol)), piv
+
+
+def _violations(status: np.ndarray, pinned: np.ndarray,
+                rc: np.ndarray) -> np.ndarray:
+    """How far each fixed, non-pinned variable's reduced cost rc points into
+    its free range, so that freeing it would lower the objective; -inf for
+    free and pinned variables."""
+    viol = np.where(status == AT_LOWER, -rc, rc)
+    viol[(status == BASIC) | pinned] = -math.inf
+    return viol
 
 
 def _zero_padded(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -200,6 +211,8 @@ class _KktFactor:
     ``Y = K0^-1 B``; ``S`` is kept up to date, one row and one column per
     border change, in the manner of the Schur-complement QP method of Gill,
     Murray, Saunders and Wright (1990), and LU-factored when a solve needs it.
+    ``step`` is the direction solve: the step and equality multipliers of
+    the working set for a gradient and a Hessian scale.
 
     The border arrays hold one border entry per row of ``_bt`` (B'), ``_yt``
     (Y') and per row and column of ``_c`` (C) and ``_s`` (S), with spare
@@ -357,51 +370,46 @@ class _KktFactor:
         """Solve the bordered system [[K0, B], [B', C]] [z; w] = [rhs0; rhsb],
         raising ``SingularKktError`` when the solution's residual is too large."""
         z = self._k0_solve(rhs0)
-        k = len(self.border)
-        if k == 0:
-            w = np.zeros(0)
-        else:
+        w = rb = np.zeros(0)
+        if self.border:
             if self._s_lu is None:
                 self._s_lu = _lu(self.S, 1e-13, "border Schur complement")
             w = _lu_solve(self._s_lu, rhsb - self.Y.T @ rhs0)
             z = z - self.Y @ w
-        scale = 1.0 + max(_inf(rhs0), _inf(rhsb))
-        r0 = self.K0 @ z - rhs0
-        if k:
-            r0 += self.B @ w
             rb = self.B.T @ z + self.C @ w - rhsb
-            if _inf(rb) > 1e-7 * scale:
-                raise SingularKktError("bordered solve residual too large")
-        if _inf(r0) > 1e-7 * scale:
+        tol = 1e-7 * (1.0 + max(_inf(rhs0), _inf(rhsb)))
+        r0 = self.K0 @ z - rhs0 + self.B @ w  # B @ w is zero with no border
+        # written so that a NaN residual fails the check
+        if not (_inf(r0) <= tol and _inf(rb) <= tol):
             raise SingularKktError("bordered solve residual too large")
         return z, w
 
+    def step(self, d: np.ndarray, sigma: float,
+             eq_resid: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """EQP step p and equality multipliers lam on this working set.
 
-def _kkt_step(fac: _KktFactor, d: np.ndarray, sigma: float, n: int, m: int,
-              eq_resid: np.ndarray | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """EQP step p and equality multipliers lam on the working set of ``fac``.
-
-    Solves [[sigma Q_FF, A_F'], [A_F, 0]] [p; y] = [-d_F; eq_resid] as
-    [[Q_FF, A_F'], [A_F, 0]] [p; y/sigma] = [-d_F/sigma; eq_resid] on the
-    sigma-free factor; lam = -y.
-    """
-    g = d / -sigma
-    rhs0 = np.zeros(fac.N0)
-    rhs0[: fac.nb] = g[fac.base_free]
-    if eq_resid is not None:
-        rhs0[fac.nb:] = eq_resid[fac.rows]
-    rhsb = np.array(
-        [g[j] if kind == "free" else 0.0 for kind, j in fac.border]
-    )
-    z, w = fac.solve(rhs0, rhsb)
-    p = np.zeros(n)
-    p[fac.base_free] = z[: fac.nb]
-    for i, (kind, j) in enumerate(fac.border):
-        p[j] = w[i] if kind == "free" else 0.0
-    lam = np.zeros(m)
-    lam[fac.rows] = -sigma * z[fac.nb:]
-    return p, lam
+        Solves [[sigma Q_FF, A_F'], [A_F, 0]] [p; y] = [-d_F; eq_resid] as
+        [[Q_FF, A_F'], [A_F, 0]] [p; y/sigma] = [-d_F/sigma; eq_resid] on the
+        sigma-free factor; lam = -y.
+        """
+        m, n = self.A.shape
+        g = d / -sigma
+        rhs0 = np.zeros(self.N0)
+        rhs0[: self.nb] = g[self.base_free]
+        if eq_resid is not None:
+            rhs0[self.nb:] = eq_resid[self.rows]
+        rhsb = np.array(
+            [g[j] if kind == "free" else 0.0 for kind, j in self.border]
+        )
+        z, w = self.solve(rhs0, rhsb)
+        p = np.zeros(n)
+        p[self.base_free] = z[: self.nb]
+        for i, (kind, j) in enumerate(self.border):
+            p[j] = w[i] if kind == "free" else 0.0
+        lam = np.zeros(m)
+        lam[self.rows] = -sigma * z[self.nb:]
+        return p, lam
 
 
 class ActiveSetEngine:
@@ -478,13 +486,9 @@ class ActiveSetEngine:
         if dropped.size:
             # each dropped row minus its combination of kept rows has support
             # only on pinned columns, so consistency is decided by x now
-            if rank:
-                alpha, *_ = np.linalg.lstsq(M[kept].T, M[dropped].T, rcond=None)
-                lhs = (self.A[dropped] - alpha.T @ self.A[kept]) @ self.x
-                rhs = self.poly.b[dropped] - alpha.T @ self.poly.b[kept]
-            else:
-                lhs = self.A[dropped] @ self.x
-                rhs = self.poly.b[dropped]
+            alpha, *_ = np.linalg.lstsq(M[kept].T, M[dropped].T, rcond=None)
+            lhs = (self.A[dropped] - alpha.T @ self.A[kept]) @ self.x
+            rhs = self.poly.b[dropped] - alpha.T @ self.poly.b[kept]
             if _inf(lhs - rhs) > 1e-7 * scale:
                 raise InfeasibleError(
                     "equality rows implied by fixed variables are violated"
@@ -501,8 +505,7 @@ class ActiveSetEngine:
         rank, _ = _qr_rank(M)
         if rank == rows.size:
             return
-        U = (scipy.linalg.qr(M, mode="economic", pivoting=True)[0][:, :rank]
-             if rank else None)
+        U = scipy.linalg.qr(M, mode="economic", pivoting=True)[0][:, :rank]
         candidates = np.flatnonzero((self.status != BASIC) & ~self.pinned)
         while rank < rows.size:
             if candidates.size == 0:
@@ -510,7 +513,7 @@ class ActiveSetEngine:
                     "equality rows cannot be spanned by releasable variables"
                 )
             R = self.A[np.ix_(rows, candidates)]
-            resid = R - U @ (U.T @ R) if rank else R
+            resid = R - U @ (U.T @ R)
             norms = np.linalg.norm(resid, axis=0)
             best = int(np.argmax(norms))
             if norms[best] <= 1e-10 * (1.0 + float(np.abs(R).max(initial=0.0))):
@@ -518,7 +521,7 @@ class ActiveSetEngine:
             j = int(candidates[best])
             self.status[j] = BASIC
             u_new = resid[:, best] / norms[best]
-            U = np.column_stack([U, u_new]) if rank else u_new.reshape(-1, 1)
+            U = np.column_stack([U, u_new])
             rank += 1
             candidates = candidates[candidates != j]
 
@@ -560,19 +563,10 @@ class ActiveSetEngine:
             self._refactor()
 
     # ------------------------------------------------------------------
-    # Direction solves
-    # ------------------------------------------------------------------
-
-    def _direction(self, d: np.ndarray, eq_resid: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """EQP step p and equality multipliers lam at the current working set."""
-        return _kkt_step(self.factor, d, self.sigma, self.n, self.m, eq_resid)
-
-    # ------------------------------------------------------------------
     # Primal active-set loop
     # ------------------------------------------------------------------
 
-    def _ratio_test(self, p: np.ndarray) -> tuple[float, int | None, int]:
+    def _ratio_test(self, p: np.ndarray) -> tuple[float, int, int]:
         """Two-pass (Harris) ratio test.
 
         Pass one finds the smallest step with every bound relaxed by the
@@ -583,22 +577,15 @@ class ActiveSetEngine:
         """
         free = self._free_idx()
         pf = p[free]
-        pn = _inf(pf)
-        ztol = RATIO_TOL * max(1.0, pn)
-        up = pf > ztol
-        lo = pf < -ztol
-        if not (up.any() or lo.any()):
-            return math.inf, None, AT_LOWER
-        idx = np.concatenate([free[up], free[lo]])
-        rate = np.concatenate([pf[up], -pf[lo]])
-        gap = np.concatenate([
-            np.maximum(self.upper[free[up]] - self.x[free[up]], 0.0),
-            np.maximum(self.x[free[lo]] - self.lower[free[lo]], 0.0),
-        ])
-        side = np.concatenate([
-            np.full(int(up.sum()), AT_UPPER, dtype=np.int8),
-            np.full(int(lo.sum()), AT_LOWER, dtype=np.int8),
-        ])
+        moving = np.abs(pf) > RATIO_TOL * max(1.0, _inf(pf))
+        idx, pm = free[moving], pf[moving]
+        up = pm > 0
+        rate = np.abs(pm)
+        gap = np.maximum(np.where(up, self.upper[idx] - self.x[idx],
+                                  self.x[idx] - self.lower[idx]), 0.0)
+        side = np.where(up, AT_UPPER, AT_LOWER)
+        # no choice below depends on the candidates' order: min is exact,
+        # and ties go to the smaller index
         alphas = gap / rate
         if self._bland:
             alpha_best = float(alphas.min())
@@ -621,8 +608,13 @@ class ActiveSetEngine:
         while True:
             if self.pivots >= self.pivot_cap:
                 return QpStatus.ITER_LIMIT, lam
-            p, lam = self._direction(d)
-            if _inf(p[self._free_idx()]) > 1e-11 * (1.0 + _inf(self.x)):
+            p, lam = self.factor.step(d, self.sigma)
+            free = self._free_idx()
+            # |p_F| within 16 ulps of the solve's right-hand side d_F / sigma
+            # is round-off, not a step: at tiny sigma such noise blocked on
+            # the variable just freed, and those two pivots cycled
+            noise = 16 * np.finfo(float).eps * _inf(d[free]) / self.sigma
+            if _inf(p[free]) > 1e-11 * (1.0 + _inf(self.x)) + noise:
                 alpha_max, blocker, side = self._ratio_test(p)
                 alpha = min(1.0, alpha_max)
                 if alpha > 0:
@@ -648,19 +640,12 @@ class ActiveSetEngine:
             self._count_pivot(("drop", int(j), int(side_viol)), 0.0)
 
     def _worst_violation(self, rc: np.ndarray) -> tuple[int | None, int]:
-        viol_tol = 0.5 * OPT_TOL
-        scan = (self.status != BASIC) & ~self.pinned
-        viol = np.where(self.status == AT_LOWER, -rc, rc)
-        viol[~scan] = -math.inf
-        if self._bland:
-            hits = np.flatnonzero(viol > viol_tol)
-            if hits.size == 0:
-                return None, AT_LOWER
-            j = int(hits[0])  # lowest index wins in Bland mode
-        else:
-            j = int(np.argmax(viol))
-            if viol[j] <= viol_tol:
-                return None, AT_LOWER
+        """The fixed variable to free: the lowest violating index in Bland
+        mode, else the largest violation; None when nothing prices in."""
+        viol = _violations(self.status, self.pinned, rc)
+        j = int(np.argmax(viol > PRICE_TOL) if self._bland else np.argmax(viol))
+        if viol[j] <= PRICE_TOL:
+            return None, AT_LOWER
         return j, int(self.status[j])
 
     def _count_pivot(self, entry, alpha: float):
@@ -688,23 +673,22 @@ class ActiveSetEngine:
         for _ in range(self.pivot_cap + 1):
             d = self._gradient()
             resid = self.poly.b - self.A @ self.x
-            p, _ = self._direction(d, resid)
+            p, _ = self.factor.step(d, self.sigma, resid)
             xn = self.x + p
             free = self._free_idx()
             ftol = FEAS_TOL * (1.0 + _inf(xn))
-            lo_v = self.lower[free] - xn[free]
-            up_v = xn[free] - self.upper[free]
-            worst, worst_side = None, AT_LOWER
-            if free.size:
-                k_lo, k_up = int(np.argmax(lo_v)), int(np.argmax(up_v))
-                if lo_v[k_lo] >= up_v[k_up] and lo_v[k_lo] > ftol:
-                    worst, worst_side = int(free[k_lo]), AT_LOWER
-                elif up_v[k_up] > ftol:
-                    worst, worst_side = int(free[k_up]), AT_UPPER
+            # lower-bound violations come first, so a tie fixes the variable
+            # at its lower bound; the closing ftol stands for "none", which
+            # keeps argmax defined on an empty free set
+            viol = np.concatenate([self.lower[free] - xn[free],
+                                   xn[free] - self.upper[free], [ftol]])
+            k = int(np.argmax(viol))
             self.x = xn
-            if worst is None:
+            if viol[k] <= ftol:
                 np.clip(self.x, self.lower, self.upper, out=self.x)
                 return True
+            worst = int(free[k % free.size])
+            worst_side = AT_LOWER if k < free.size else AT_UPPER
             self._fix_var(worst, worst_side)
             self._count_pivot(("dfix", worst, int(worst_side)), 1.0)
         return False
@@ -743,15 +727,11 @@ class ActiveSetEngine:
             if st.shape != (self.n,):
                 raise ValueError("warm basis has wrong length")
             self.status = st
-        else:
-            self.status = np.full(self.n, AT_LOWER, dtype=np.int8)
         self.status[self.pinned] = AT_LOWER
         if warm_x is not None:
             self.x = np.asarray(warm_x, dtype=float).copy()
             if self.x.shape != (self.n,):
                 raise ValueError("warm point has wrong length")
-        else:
-            self.x = np.zeros(self.n)
         self._project()
 
     def solve(self, warm: WorkingBasis | None = None,
@@ -785,12 +765,13 @@ class ActiveSetEngine:
         objective, handover = math.inf, None
         if state != QpStatus.INFEASIBLE:
             rc = self._gradient() - self.A.T @ lam
-            at_lo = (self.status == AT_LOWER) & ~self.pinned
-            at_up = (self.status == AT_UPPER) & ~self.pinned
+            # a pinned variable is always AT_LOWER: _normalize_basis and
+            # solve_lp set it so, and neither pricing nor _ensure_row_rank
+            # frees it; it takes both multipliers, split by the sign of rc
+            at_lo = self.status == AT_LOWER
+            at_up = (self.status == AT_UPPER) | self.pinned
             mu_lower[at_lo] = np.maximum(rc[at_lo], 0.0)
             mu_upper[at_up] = np.maximum(-rc[at_up], 0.0)
-            mu_lower[self.pinned] = np.maximum(rc[self.pinned], 0.0)
-            mu_upper[self.pinned] = np.maximum(-rc[self.pinned], 0.0)
             objective = self.p.objective(self.x)
             if self.factor is not None and not self.factor.needs_refactor:
                 handover = self.factor
@@ -861,10 +842,27 @@ def scale_ray(problem: QpProblem, sol: QpSolution
     if fac is None:
         return None
     try:
-        return _kkt_step(fac, problem.linear, 1.0, problem.poly.n,
-                         problem.poly.m)
+        return fac.step(problem.linear, 1.0)
     except SingularKktError:
         return None
+
+
+def working_set_holds(problem: QpProblem, status: np.ndarray, x: np.ndarray,
+                      lam: np.ndarray) -> bool:
+    """Whether ``status`` is an optimal working set of ``problem`` at x with
+    equality multipliers lam, to the engine's tolerances: every free
+    variable lies within ``FEAS_TOL (1 + |x|_inf)`` of its bounds, and no
+    fixed variable prices in, so the engine would stop at x without a pivot.
+    """
+    poly = problem.poly
+    free = status == BASIC
+    tol = FEAS_TOL * (1.0 + _inf(x))
+    if (np.any(x[free] < poly.lower[free] - tol)
+            or np.any(x[free] > poly.upper[free] + tol)):
+        return False
+    rc = problem.linear + problem.sigma * problem.quad.matvec(x) - poly.A.T @ lam
+    return not np.any(_violations(status, poly.lower == poly.upper, rc)
+                      > PRICE_TOL)
 
 
 def solve_qp(problem: QpProblem, warm: WorkingBasis | None = None,

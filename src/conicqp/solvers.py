@@ -8,8 +8,9 @@ each QP warm-started from the last; they differ in how they pick the next t:
   (primal start), or from a supplied basis via a dual start when resuming
   after bound changes.  Once per working set it tries to jump instead to
   that set's fixed point t* = sqrt(x(t*)'Q x(t*)), where x(t) is affine in
-  t; the jump is taken only when x(t*) keeps the working set optimal (free
-  variables within bounds, fixed ones' reduced costs of the right sign),
+  t; the jump is taken only when x(t*) keeps the working set optimal by
+  the engine's own test (``qp.working_set_holds``: free variables within
+  bounds, fixed ones' reduced costs of the right sign),
   t* lies on or beyond sqrt(x'Qx) in the direction t is moving, t*^2 is
   above ``QZERO_TOL`` and t* moves t by more than ``delta`` relative.  The
   QP at t* still runs: it takes no pivot and stops the loop through the
@@ -57,10 +58,6 @@ from .model import (
     subproblem_objective,
 )
 from .qp import (
-    AT_LOWER,
-    BASIC,
-    FEAS_TOL,
-    OPT_TOL,
     QpSolution,
     QpStatus,
     StartMode,
@@ -68,6 +65,7 @@ from .qp import (
     scale_ray,
     solve_lp,
     solve_qp,
+    working_set_holds,
 )
 
 CD_MAX_OUTER = 1000       # coordinate-descent QPs before IterLimit
@@ -157,9 +155,9 @@ def _fixed_point(inst: ConicInstance, sol: QpSolution, t_i: float,
 
     * it lies on or beyond ``t_next`` going from ``t_i``, so t stays
       monotone (exact arithmetic guarantees this);
-    * at x(t*) the free variables lie within their bounds and the fixed,
-      non-pinned variables' reduced costs keep their signs, to the engine's
-      tolerances, so x(t*) solves the QP at t* with zero pivots;
+    * the working set holds at x(t*), by the engine's own test
+      (``qp.working_set_holds``), so x(t*) solves the QP at t* with zero
+      pivots;
     * t*^2 is above ``QZERO_TOL``, out of the T-zero regime;
     * it moves t by more than ``delta * t_next``.
     """
@@ -177,16 +175,9 @@ def _fixed_point(inst: ConicInstance, sol: QpSolution, t_i: float,
             or abs(t_star - t_next) <= delta * t_next):
         return None
     x = a + t_star * b
-    poly, status = inst.poly, sol.basis.status
-    free = status == BASIC
-    tol = FEAS_TOL * (1.0 + float(np.max(np.abs(x))))
-    if (np.any(x[free] < poly.lower[free] - tol)
-            or np.any(x[free] > poly.upper[free] + tol)):
-        return None
     lam = (t_i * sol.lam + (t_star - t_i) * dmuds) / t_star
-    rc = inst.c + inst.omega / t_star * inst.q.matvec(x) - poly.A.T @ lam
-    viol = np.where(status == AT_LOWER, -rc, rc)[~free & (poly.lower < poly.upper)]
-    if np.any(viol > 0.5 * OPT_TOL):  # the engine's pricing threshold
+    if not working_set_holds(subproblem_objective(inst, t_star),
+                             sol.basis.status, x, lam):
         return None
     return t_star
 

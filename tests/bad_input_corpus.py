@@ -4,6 +4,7 @@
 Usage, from the repository root:
 
     PYTHONPATH=src python tests/bad_input_corpus.py corpus.json
+    PYTHONPATH=src python tests/bad_input_corpus.py compare OLD.json NEW.json
 
 Instance i is ``bad_instance`` (``test_bad_inputs.py``) with arguments drawn
 in this order from ``numpy.random.default_rng([i, 2024])``: ``seed`` by
@@ -23,6 +24,11 @@ counts as "solved without certificate", and an exception outside
 ``TYPED_ERRORS`` as untyped.  The JSON file holds every instance's outcome
 per driver; standard output shows the counts per driver as a table.
 
+``compare`` reads two such files of the same corpus, for instance one
+written at a parent commit and one at a change, and prints per driver the
+instances that lost or gained a certificate and every instance whose
+outcome changed; it exits with status 1 when a certificate was lost.
+
 Pytest does not collect this file; a run takes one to two minutes.
 """
 
@@ -31,6 +37,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -126,7 +133,33 @@ def main(out_path: str) -> None:
     print(f"certified total: {sum(row['certified'] for row in counts.values())}")
 
 
+def compare(old_path: str, new_path: str) -> int:
+    """Print how the outcomes in ``new_path`` differ from those in
+    ``old_path``, per driver; returns the number of certificates lost."""
+    old, new = (json.loads(Path(path).read_text()) for path in (old_path, new_path))
+    if old["params"] != new["params"]:
+        sys.exit("the two files hold different corpora")
+    lost_total = 0
+    for name, rows in old["outcomes"].items():
+        pairs = list(zip(rows, new["outcomes"][name]))
+        lost = [a["i"] for a, b in pairs if a["certified"] and not b["certified"]]
+        gained = [a["i"] for a, b in pairs if b["certified"] and not a["certified"]]
+        changed = [(a["i"], category(a["outcome"], a["certified"]),
+                    category(b["outcome"], b["certified"])) for a, b in pairs]
+        changed = [row for row in changed if row[1] != row[2]]
+        print(f"{name}: {len(lost)} lost, {len(gained)} gained, "
+              f"{len(changed)} changed")
+        print(f"  lost: {lost}")
+        print(f"  gained: {gained}")
+        for i, before, after in changed:
+            print(f"  {i}: {before} -> {after}")
+        lost_total += len(lost)
+    return lost_total
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(1 if compare(sys.argv[2], sys.argv[3]) else 0)
     if len(sys.argv) != 2:
         sys.exit(__doc__.split("\n\n")[1])
     main(sys.argv[1])

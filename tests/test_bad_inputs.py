@@ -27,6 +27,7 @@ from conicqp import (
     solve_cd,
 )
 from conicqp.generate import gen_costs, gen_quadratic, grid_arcs
+from conicqp.qp import AT_LOWER
 
 TYPED_ERRORS = (InfeasibleError, LpFailureError, SingularKktError)
 SOLVED = (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED)
@@ -112,6 +113,19 @@ def test_convex_drivers_certify_or_type(params):
     inst = bad_instance(**params)
     assert_typed_convex(inst, solve_cd)
     assert_typed_convex(inst, solve_bisection)
+
+
+@given(params=bad_params.filter(lambda params: params["pins"] > 0))
+@settings(max_examples=30)
+def test_pinned_variables_stay_at_lower(params):
+    # the engine's multiplier rule relies on this tag for pinned variables
+    inst = bad_instance(**params)
+    try:
+        res = solve_cd(inst)
+    except TYPED_ERRORS:
+        return
+    pinned = inst.poly.lower == inst.poly.upper
+    assert np.all(res.basis.status[pinned] == AT_LOWER)
 
 
 @given(params=bad_params)

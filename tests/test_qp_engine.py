@@ -26,6 +26,7 @@ from conicqp import (
 )
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path, gen_quadratic
 from conicqp.qp import (
+    AT_LOWER,
     BASIC,
     MAX_UPDATES,
     ActiveSetEngine,
@@ -34,6 +35,7 @@ from conicqp.qp import (
     _lu,
     _lu_solve,
     scale_ray,
+    working_set_holds,
 )
 
 from oracles import enumerate_tiny_qp, projected_gradient_qp
@@ -377,7 +379,7 @@ class TestFactorHandover:
             eng = ActiveSetEngine(with_sigma(p, sigma))
             eng.status = sol.basis.status.copy()
             eng.factor = fac.copy()
-            step, lam = eng._direction(d, resid)
+            step, lam = eng.factor.step(d, sigma, resid)
             K = np.block([[sigma * Q_FF, A_F.T],
                           [A_F, np.zeros((rows.size, rows.size))]])
             ref = np.linalg.solve(K, np.concatenate([-d[free], resid[rows]]))
@@ -453,6 +455,67 @@ class TestFactorHandover:
                              warm_x=fresh.x)
             np.testing.assert_array_equal(got.x, alone.x)
             assert got.pivot_log == alone.pivot_log
+
+
+class TestWorkingSetHolds:
+    """``working_set_holds`` is the engine's own stopping test."""
+
+    @staticmethod
+    def solved():
+        p = card_problem(n=30, seed=7)
+        sol = solve_qp(p)
+        assert sol.status == QpStatus.OPTIMAL
+        return p, sol, sol.basis.status
+
+    def test_true_at_the_solution(self):
+        p, sol, status = self.solved()
+        assert working_set_holds(p, status, sol.x, sol.lam)
+
+    def test_false_once_a_fixed_variable_prices_in(self):
+        p, sol, status = self.solved()
+        j = int(np.flatnonzero(status != BASIC)[0])
+        # a unit shift of the cost against the bound frees j
+        shift = sol.mu_lower[j] + sol.mu_upper[j] + 1.0
+        linear = p.linear.copy()
+        linear[j] += -shift if status[j] == AT_LOWER else shift
+        shifted = QpProblem(linear=linear, quad=p.quad, sigma=p.sigma,
+                            offset=p.offset, poly=p.poly)
+        assert not working_set_holds(shifted, status, sol.x, sol.lam)
+
+    def test_false_once_a_free_variable_leaves_its_bounds(self):
+        # the bounds move past x, so x, lam and the reduced costs stay put
+        p, sol, status = self.solved()
+        poly = p.poly
+        inside = (sol.x > poly.lower + 0.01) & (sol.x < poly.upper - 0.01)
+        j = int(np.flatnonzero((status == BASIC) & inside)[0])
+        for name, moved in (("upper", sol.x[j] - 1e-3),
+                            ("lower", sol.x[j] + 1e-3)):
+            bounds = {"lower": poly.lower.copy(), "upper": poly.upper.copy()}
+            bounds[name][j] = moved
+            tight = QpProblem(linear=p.linear, quad=p.quad, sigma=p.sigma,
+                              offset=p.offset,
+                              poly=Polyhedron(poly.A, poly.b, **bounds))
+            assert not working_set_holds(tight, status, sol.x, sol.lam)
+
+
+class TestZeroStepThreshold:
+    """A step no larger than the direction solve's round-off counts as
+    zero.  Before, at tiny sigma such a step passed the ratio test, which
+    blocked on the variable just freed, and the engine cycled between those
+    two pivots until its cap (IterLimit)."""
+
+    @pytest.mark.parametrize("solver, params", [
+        # bad-input corpus cd 326
+        (solve_cd, dict(seed=8933, rows="grid", pins=0, extra="duplicate",
+                        d_scale=1.0, costs="random", omega=1e-6)),
+        # bad-input corpus bisection 502
+        (solve_bisection, dict(seed=260, rows="grid", pins=2,
+                               extra="dependent", d_scale=1e-10,
+                               costs="tied", omega=1e-6)),
+    ], ids=["cd-326", "bisection-502"])
+    def test_round_off_step_does_not_cycle(self, solver, params):
+        inst = bad_instance(**params)
+        assert_certified(inst, solver(inst))
 
 
 class TestBorderSchurComplement:
@@ -536,10 +599,20 @@ class TestBorderSchurComplement:
         assert len(fac._c) == 16
         self.check(fac, rng)
 
+    def test_non_finite_residual_raises(self):
+        # an overflowed right-hand side gives z = [nan, nan, nan], whose
+        # residual must fail the check instead of passing for small
+        p = random_problem(np.random.default_rng(16), n=3, m=0, sigma=1.0)
+        fac = _KktFactor(p.poly, p.quad, np.zeros(3, dtype=bool),
+                         np.arange(0), np.arange(3))
+        assert fac.N0 == 3 and not fac.border
+        with pytest.raises(SingularKktError, match="residual"):
+            fac.solve(np.array([np.inf, 0.0, 0.0]), np.zeros(0))
+
     def test_rejected_s_is_singular_from_scratch(self, monkeypatch):
-        # bad-input corpus instance 502: under solve_bisection the Schur LU's
-        # pivot test rejects S after nearly every pivot (Bland mode, pivot
-        # cap reached); each rejected S must fail the same test when formed
+        # under solve_bisection the Schur LU's pivot test rejects S 27 times
+        # on this grid instance (pinned and dependent rows, omega = 1e-6,
+        # Bland mode); each rejected S must fail the same test when formed
         # from scratch, so no rejection comes from drift of the kept S
         rejected = []
         real = _KktFactor.solve
@@ -553,8 +626,8 @@ class TestBorderSchurComplement:
                 raise
 
         monkeypatch.setattr(_KktFactor, "solve", solving)
-        inst = bad_instance(seed=260, rows="grid", pins=2, extra="dependent",
-                            d_scale=1e-10, costs="tied", omega=1e-6)
+        inst = bad_instance(seed=3969, rows="grid", pins=1, extra="dependent",
+                            d_scale=1.0, costs="tied", omega=1e-6)
         res = solve_bisection(inst)
         assert rejected
         for fresh in rejected:
@@ -621,9 +694,9 @@ class TestRecoveryPaths:
     def test_bland_mode(self, monkeypatch):
         modes = []
         spy(monkeypatch, "_count_pivot", lambda eng, _: modes.append(eng._bland))
-        inst = bad_instance(seed=1715, rows="dense", pins=0, extra="none",
-                            d_scale=1e-10, costs="tied", omega=1e-6)
-        res = solve_cd(inst)
+        inst = bad_instance(seed=3969, rows="grid", pins=1, extra="dependent",
+                            d_scale=1.0, costs="tied", omega=1e-6)
+        res = solve_bisection(inst)
         assert any(modes)
         assert_certified(inst, res)
 
@@ -659,8 +732,9 @@ class TestRecoveryPaths:
             return out
 
         monkeypatch.setattr(ActiveSetEngine, "_primal_loop", looping)
-        inst = bad_instance(seed=1678, rows="dense", pins=1, extra="duplicate",
-                            d_scale=0.0, costs="tied", omega=1e-6)
+        # bad-input corpus instance 89
+        inst = bad_instance(seed=3040, rows="grid", pins=1, extra="duplicate",
+                            d_scale=1e-10, costs="tied", omega=1e-6)
         res = solve_cd(inst)
         assert ("singular", "done") in zip(events, events[1:])
         assert_certified(inst, res)
