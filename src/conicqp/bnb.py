@@ -3,9 +3,9 @@
 Nodes carry bound changes relative to the root, the parent's optimal basis,
 and the parent's scale t; relaxations are solved to optimality by
 coordinate descent, dual-starting the first QP of each non-root node from
-the parent basis.  Only a certified relaxation (any status but IterLimit
-or Uncertified) prunes a node or bounds its children; an uncertified one
-is a point whose value bounds the node from above only.  Branching uses the
+the parent basis.  Only a certified relaxation (a status in ``SOLVED``)
+prunes a node or bounds its children; an uncertified one is a point whose
+value bounds the node from above only.  Branching uses the
 maximum-infeasibility rule (the variable farthest from an integer, lowest
 index on ties), the child violating its new bound by the least amount is
 processed next, and the sibling joins a best-bound list.  A point is
@@ -29,7 +29,7 @@ from .model import (
     ConicInstance,
     InfeasibleError,
     Polyhedron,
-    SolveStatus,
+    SOLVED,
     eval_objective,
 )
 from .solvers import CdOptions, solve_cd
@@ -167,8 +167,10 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
         raise ValueError("instance has no integer variables")
     start = time.monotonic()
 
-    ub = math.inf
-    x_star: np.ndarray | None = None
+    # the incumbent and every count live on the result from the start
+    out = BnbResult(incumbent_x=None, incumbent_obj=math.inf,
+                    best_bound=-math.inf, nodes_processed=0,
+                    status=BnbStatus.OPTIMAL, egap=math.inf)
     counter = itertools.count()
     heap: list[tuple[float, int, BnbNode]] = []
     root = BnbNode(bound_changes=(), basis=None, t_parent=None,
@@ -177,32 +179,27 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
     next_node: BnbNode | None = None
     stuck_lb = math.inf  # lowest bound of the unbranchable uncertified nodes
 
-    nodes = qp_count = pivot_count = jumps_tried = jumps_taken = 0
-    warm_accepts = warm_repairs = infeasible_nodes = uncertified_nodes = 0
-    status = BnbStatus.OPTIMAL
-
     def open_bound() -> float:
         lb = min(heap[0][0] if heap else math.inf, stuck_lb)
         if next_node is not None:
             lb = min(lb, next_node.lb)
-        return min(lb, ub)
+        return min(lb, out.incumbent_obj)
 
     while heap or next_node is not None:
-        gap = _egap(ub, open_bound())
-        if gap <= opts.gap_tol:
-            status = BnbStatus.GAP_REACHED
+        if _egap(out.incumbent_obj, open_bound()) <= opts.gap_tol:
+            out.status = BnbStatus.GAP_REACHED
             break
-        if opts.time_limit is not None and time.monotonic() - start > opts.time_limit:
-            status = BnbStatus.TIME_LIMIT
-            break
-        if opts.node_limit is not None and nodes >= opts.node_limit:
-            status = BnbStatus.TIME_LIMIT
+        if ((opts.time_limit is not None
+             and time.monotonic() - start > opts.time_limit)
+                or (opts.node_limit is not None
+                    and out.nodes_processed >= opts.node_limit)):
+            out.status = BnbStatus.TIME_LIMIT
             break
         if next_node is not None:
             node, next_node = next_node, None
         else:
             _, _, node = heapq.heappop(heap)
-        if node.lb >= ub:
+        if node.lb >= out.incumbent_obj:
             continue
         sub = _apply_bounds(inst, node.bound_changes)
         warm = None
@@ -212,50 +209,48 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
             res = counts = solve_cd(sub, _NODE_CD, warm=warm)
         except InfeasibleError as err:
             res, counts = None, err  # the error carries the same counts
-        nodes += 1
-        qp_count += counts.qp_count
-        pivot_count += counts.pivot_count
-        jumps_tried += counts.jumps_tried
-        jumps_taken += counts.jumps_taken
+        out.nodes_processed += 1
+        out.qp_count += counts.qp_count
+        out.pivot_count += counts.pivot_count
+        out.jumps_tried += counts.jumps_tried
+        out.jumps_taken += counts.jumps_taken
         if warm is not None:
             if counts.first_qp_used_phase1:
-                warm_repairs += 1
+                out.warm_repairs += 1
             else:
-                warm_accepts += 1
+                out.warm_accepts += 1
         if res is None:
-            infeasible_nodes += 1
+            out.infeasible_nodes += 1
             continue
         z = res.objective
-        certified = res.status not in (SolveStatus.ITER_LIMIT,
-                                       SolveStatus.UNCERTIFIED)
+        certified = res.status in SOLVED
         # z bounds the node's subtree from below only when certified
         node_lb = z if certified else node.lb
-        uncertified_nodes += not certified
-        if opts.log_stride and nodes % opts.log_stride == 0:
+        out.uncertified_nodes += not certified
+        if opts.log_stride and out.nodes_processed % opts.log_stride == 0:
             # the solved node is no longer in the open list, but its subtree
             # is still bounded below by node_lb, so count it in the bound
             lb_now = min(open_bound(), node_lb)
-            _log.info("node=%d ub=%.9g lb=%.9g gap=%.3e depth=%d", nodes, ub,
-                      lb_now, _egap(ub, lb_now), node.depth)
-        if certified and z >= ub:
+            _log.info("node=%d ub=%.9g lb=%.9g gap=%.3e depth=%d",
+                      out.nodes_processed, out.incumbent_obj, lb_now,
+                      _egap(out.incumbent_obj, lb_now), node.depth)
+        if certified and z >= out.incumbent_obj:
             continue  # prune by bound
         if _is_integral(res.x, inst.integer_vars):
-            if z < ub:
-                ub = z
-                x_star = res.x.copy()
+            if z < out.incumbent_obj:
+                out.incumbent_obj = z
+                out.incumbent_x = res.x.copy()
             if not certified:
                 stuck_lb = min(stuck_lb, node_lb)
             continue  # prune by integer feasibility
         j, fl, cl = branch_select(res.x, inst.integer_vars)
         v = float(res.x[j])
-        lo_j = float(sub.poly.lower[j])
-        hi_j = float(sub.poly.upper[j])
-        child_le = BnbNode(
-            bound_changes=node.bound_changes + ((j, lo_j, float(fl)),),
-            basis=res.basis, t_parent=res.t, lb=node_lb, depth=node.depth + 1)
-        child_ge = BnbNode(
-            bound_changes=node.bound_changes + ((j, float(cl), hi_j),),
-            basis=res.basis, t_parent=res.t, lb=node_lb, depth=node.depth + 1)
+        child_le, child_ge = (
+            BnbNode(bound_changes=node.bound_changes + ((j, lo, hi),),
+                    basis=res.basis, t_parent=res.t, lb=node_lb,
+                    depth=node.depth + 1)
+            for lo, hi in ((float(sub.poly.lower[j]), float(fl)),
+                           (float(cl), float(sub.poly.upper[j]))))
         # dive into the child whose new bound is violated least (the floor
         # child on near-ties, so the dive order is stable against noise)
         if (v - fl) - (cl - v) <= BRANCH_TIE_TOL:
@@ -264,24 +259,18 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
             next_node, sibling = child_ge, child_le
         heapq.heappush(heap, (sibling.lb, next(counter), sibling))
 
-    best_bound = open_bound()
-    egap = _egap(ub, best_bound)
-    if status == BnbStatus.OPTIMAL:
-        if x_star is None:
-            status = BnbStatus.INFEASIBLE
-        elif best_bound < ub:  # unbranchable uncertified nodes stay open
-            status = (BnbStatus.GAP_REACHED if egap <= opts.gap_tol
-                      else BnbStatus.UNCERTIFIED)
+    out.best_bound = open_bound()
+    out.egap = _egap(out.incumbent_obj, out.best_bound)
+    if out.status == BnbStatus.OPTIMAL:
+        if out.incumbent_x is None:
+            out.status = BnbStatus.INFEASIBLE
+        elif out.best_bound < out.incumbent_obj:
+            # unbranchable uncertified nodes stay open
+            out.status = (BnbStatus.GAP_REACHED if out.egap <= opts.gap_tol
+                          else BnbStatus.UNCERTIFIED)
         else:
-            egap = 0.0
-    return BnbResult(
-        incumbent_x=x_star, incumbent_obj=ub, best_bound=best_bound,
-        nodes_processed=nodes, status=status, egap=egap, qp_count=qp_count,
-        pivot_count=pivot_count, warm_accepts=warm_accepts,
-        warm_repairs=warm_repairs, infeasible_nodes=infeasible_nodes,
-        uncertified_nodes=uncertified_nodes, jumps_tried=jumps_tried,
-        jumps_taken=jumps_taken,
-    )
+            out.egap = 0.0
+    return out
 
 
 def _cardinality_supports(inst: ConicInstance) -> int | None:

@@ -16,18 +16,23 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .bnb import BnbOptions, BnbStatus, solve_bnb
 from .generate import GenSpec, generate, load_instance, save_instance
-from .model import InfeasibleError, LpFailureError, SingularKktError, SolveStatus
+from .model import SOLVED, InfeasibleError, LpFailureError, SingularKktError
 from .solvers import BisectOptions, CdOptions, solve_bisection, solve_cd
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_LIMIT = 4
+
+# the errors a run can end in: the message prefix and exit code of each
+_FAILURES = {InfeasibleError: ("infeasible", EXIT_INFEASIBLE),
+             LpFailureError: ("LP not solved", EXIT_LIMIT),
+             SingularKktError: ("QP not solved", EXIT_LIMIT)}
 
 
 @dataclass
@@ -55,7 +60,7 @@ class BenchRecord:
         return [f.name for f in fields(cls)]
 
     def row(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
+        return list(astuple(self))
 
 
 def _write_csv(path: str, records: list[BenchRecord]):
@@ -69,8 +74,7 @@ def _write_csv(path: str, records: list[BenchRecord]):
 
 
 _METHODS = {"cd": solve_cd, "bisect": solve_bisection, "bnb-cd": solve_bnb}
-_SOLVED = (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED,
-           SolveStatus.T_ZERO, BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
+_SOLVED = SOLVED + (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
 
 
 def _record(inst, path, method: str, time_s: float, res=None) -> BenchRecord:
@@ -107,19 +111,14 @@ def _run(inst, path, method: str, opts=None) -> tuple[object, BenchRecord]:
 def cmd_gen(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    p, q = args.grid or (None, None)
+    name = (f"cardinality_n{args.n}" if args.family == "cardinality"
+            else f"gridpath_{p}x{q}")
     for k in range(args.reps):
         seed = args.seed + k
-        if args.family == "cardinality":
-            spec = GenSpec(family="cardinality", n=args.n, r=args.r,
-                           alpha=args.alpha, omega=args.omega, seed=seed,
-                           discrete=args.discrete)
-            name = f"cardinality_n{args.n}"
-        else:
-            p, q = args.grid
-            spec = GenSpec(family="gridpath", p=p, q=q, r=args.r,
-                           alpha=args.alpha, omega=args.omega, seed=seed,
-                           discrete=args.discrete)
-            name = f"gridpath_{p}x{q}"
+        spec = GenSpec(family=args.family, n=args.n, p=p, q=q, r=args.r,
+                       alpha=args.alpha, omega=args.omega, seed=seed,
+                       discrete=args.discrete)
         inst = generate(spec)
         fname = (f"{name}_r{args.r}_a{args.alpha:g}_w{args.omega:g}"
                  f"_s{seed}{'_disc' if args.discrete else ''}.json")
@@ -136,11 +135,7 @@ def cmd_solve(args) -> int:
         opts = CdOptions(t0=t0_opt, delta=args.tol, qp_eps=eps)
     else:
         opts = BisectOptions(delta=args.tol, qp_eps=eps)
-    try:
-        res, rec = _run(inst, args.instance, args.alg, opts)
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    res, rec = _run(inst, args.instance, args.alg, opts)
     print(f"objective     {res.objective:.12g}")
     print(f"t             {res.t:.12g}")
     print(f"kkt_residual  {rec.kkt_residual:.3e}")
@@ -200,7 +195,7 @@ def _bench_one(inst, path, method: str) -> BenchRecord | None:
     start = time.perf_counter()
     try:
         return _run(inst, path, method)[1]
-    except (InfeasibleError, LpFailureError, SingularKktError):
+    except tuple(_FAILURES):
         return _record(inst, path, method, time.perf_counter() - start)
 
 
@@ -319,12 +314,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LpFailureError as exc:
-        print(f"LP not solved: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except SingularKktError as exc:
-        print(f"QP not solved: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+    except tuple(_FAILURES) as exc:
+        message, code = _FAILURES[type(exc)]
+        print(f"{message}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

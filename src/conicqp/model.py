@@ -223,6 +223,11 @@ class SolveStatus(Enum):
     UNCERTIFIED = "Uncertified"  # stopped, but no KKT certificate at x
 
 
+# a run is solved when it stops with a KKT certificate, or in TZero, whose
+# stated reason why none exists is that grad f is undefined at x
+SOLVED = (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED, SolveStatus.T_ZERO)
+
+
 @dataclass
 class KktCertificate:
     """Multipliers and violation measures for the conic problem at a point.

@@ -610,10 +610,10 @@ class ActiveSetEngine:
                 return QpStatus.ITER_LIMIT, lam
             p, lam = self.factor.step(d, self.sigma)
             free = self._free_idx()
-            # |p_F| within 16 ulps of the solve's right-hand side d_F / sigma
+            # |p_F| within 64 ulps of the solve's right-hand side d_F / sigma
             # is round-off, not a step: at tiny sigma such noise blocked on
             # the variable just freed, and those two pivots cycled
-            noise = 16 * np.finfo(float).eps * _inf(d[free]) / self.sigma
+            noise = 64 * np.finfo(float).eps * _inf(d[free]) / self.sigma
             if _inf(p[free]) > 1e-11 * (1.0 + _inf(self.x)) + noise:
                 alpha_max, blocker, side = self._ratio_test(p)
                 alpha = min(1.0, alpha_max)
@@ -635,9 +635,27 @@ class ActiveSetEngine:
             rc = d - self.A.T @ lam
             j, side_viol = self._worst_violation(rc)
             if j is None:
+                self._restore_equalities()
                 return QpStatus.OPTIMAL, lam
             self._free_var(j)
             self._count_pivot(("drop", int(j), int(side_viol)), 0.0)
+
+    def _restore_equalities(self):
+        """Put an optimal x that drifted off Ax = b back on it.
+
+        At tiny sigma the direction solves check their residuals against
+        right-hand sides scaled by 1/sigma, so the steps can drift off the
+        equalities.  One step on the working set with zero gradient moves
+        the free variables back; it is taken only if it keeps them within
+        ``FEAS_TOL (1 + |x|_inf)`` of their bounds, and lam is kept."""
+        resid = self.poly.b - self.A @ self.x
+        if _inf(resid) <= FEAS_TOL * (1.0 + _inf(self.poly.b)):
+            return
+        p, _ = self.factor.step(np.zeros(self.n), self.sigma, resid)
+        xn = self.x + p
+        tol = FEAS_TOL * (1.0 + _inf(xn))
+        if np.all(xn >= self.lower - tol) and np.all(xn <= self.upper + tol):
+            self.x = xn
 
     def _worst_violation(self, rc: np.ndarray) -> tuple[int | None, int]:
         """The fixed variable to free: the lowest violating index in Bland

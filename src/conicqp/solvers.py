@@ -51,7 +51,6 @@ from .model import (
     KktCertificate,
     QZERO_TOL,
     SolveStatus,
-    ZeroQuadraticError,
     dual_bound_estimate,
     eval_objective,
     kkt_residual,
@@ -125,16 +124,16 @@ def _scale(inst: ConicInstance, x: np.ndarray) -> tuple[float, bool]:
     return math.sqrt(max(xqx, 0.0)), xqx <= QZERO_TOL
 
 
-def _certified(inst: ConicInstance, x: np.ndarray, sol: QpSolution,
+def _certified(inst: ConicInstance, sol: QpSolution,
                status: SolveStatus) -> tuple[KktCertificate | None, SolveStatus]:
-    """The KKT certificate of a finished run and its final status: a solved
-    status without a certificate at x becomes Uncertified."""
+    """The KKT certificate of a finished run at ``sol.x`` and its final
+    status: a solved status without a certificate there becomes Uncertified."""
     if status == SolveStatus.T_ZERO:
         return None, status
     cert = KktCertificate(lam=sol.lam, mu_lower=sol.mu_lower, mu_upper=sol.mu_upper)
     try:
-        kkt_residual(inst, x, cert)
-    except (ZeroQuadraticError, ValueError):
+        kkt_residual(inst, sol.x, cert)
+    except ValueError:  # ZeroQuadraticError is a ValueError too
         if status in (SolveStatus.OPTIMAL, SolveStatus.TOLERANCE_REACHED):
             status = SolveStatus.UNCERTIFIED
         return None, status
@@ -188,8 +187,9 @@ class _QpChain:
     The first QP starts from the given basis, point and mode (all None and
     PrimalStart for a cold start); every later one primal-starts from its
     predecessor's basis and point.  The chain counts the QPs and their
-    pivots and the fixed-point jumps tried and taken (``next_t``), raises
-    ``InfeasibleError`` carrying those counts, and builds the run's result.
+    pivots and the fixed-point jumps tried and taken (``next_t``), holds the
+    driver's ``trace``, raises ``InfeasibleError`` carrying those counts, and
+    builds the run's result.
     """
 
     def __init__(self, inst: ConicInstance, basis: WorkingBasis | None = None,
@@ -198,6 +198,7 @@ class _QpChain:
         self.inst = inst
         self._next = (basis, x, mode)
         self.qp_pivots: list[int] = []
+        self.trace: list[tuple[float, float]] = []
         self.first_qp_used_phase1 = False
         self.jumps_tried = self.jumps_taken = 0
         self._rayed: set[bytes] = set()  # working sets a jump was tried from
@@ -235,17 +236,16 @@ class _QpChain:
         self.jumps_taken += 1
         return t_star
 
-    def result(self, x: np.ndarray, sol: QpSolution, status: SolveStatus,
-               stop_reason: str, trace: list[tuple[float, float]],
+    def result(self, sol: QpSolution, status: SolveStatus, stop_reason: str,
                t: float | None = None, **extra) -> ConicSolveResult:
-        """The run's result at x, certified from ``sol``'s multipliers; t is
-        sqrt(x'Qx) unless given."""
-        kkt, status = _certified(self.inst, x, sol, status)
+        """The run's result at ``sol.x``, certified from ``sol``'s
+        multipliers; t is sqrt(x'Qx) unless given."""
+        kkt, status = _certified(self.inst, sol, status)
         return ConicSolveResult(
-            x=x.copy(), t=_scale(self.inst, x)[0] if t is None else t,
-            objective=eval_objective(self.inst, x), kkt=kkt,
+            x=sol.x.copy(), t=_scale(self.inst, sol.x)[0] if t is None else t,
+            objective=eval_objective(self.inst, sol.x), kkt=kkt,
             qp_count=len(self.qp_pivots), pivot_count=sum(self.qp_pivots),
-            trace=trace, status=status, stop_reason=stop_reason,
+            trace=self.trace, status=status, stop_reason=stop_reason,
             qp_pivots=self.qp_pivots,
             first_qp_used_phase1=self.first_qp_used_phase1,
             jumps_tried=self.jumps_tried, jumps_taken=self.jumps_taken,
@@ -270,7 +270,6 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
     made.
     """
     opt = opt or CdOptions()
-    trace: list[tuple[float, float]] = []
 
     if warm is not None:
         basis, t_i = warm
@@ -282,26 +281,25 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
         chain = _QpChain(inst, sol.basis, sol.x)
         t_i, zero = _scale(inst, sol.x)
         if zero:
-            return chain.result(sol.x, sol, SolveStatus.T_ZERO, "t_zero", trace)
+            return chain.result(sol, SolveStatus.T_ZERO, "t_zero")
     else:
         t_i = float(opt.t0)
         chain = _QpChain(inst)
 
     for _ in range(CD_MAX_OUTER):
         sol = chain.solve(t_i)
-        x = sol.x
-        trace.append((t_i, sol.objective))
+        chain.trace.append((t_i, sol.objective))
         if sol.status == QpStatus.ITER_LIMIT:
-            return chain.result(x, sol, SolveStatus.ITER_LIMIT, "qp_iter_limit",
-                                trace, t=t_i)
-        t_next, zero = _scale(inst, x)
+            return chain.result(sol, SolveStatus.ITER_LIMIT, "qp_iter_limit",
+                                t=t_i)
+        t_next, zero = _scale(inst, sol.x)
         if zero:
-            return chain.result(x, sol, SolveStatus.T_ZERO, "t_zero", trace)
-        est = dual_bound_estimate(inst, x, t_i, t_next, opt.qp_eps)
+            return chain.result(sol, SolveStatus.T_ZERO, "t_zero")
+        est = dual_bound_estimate(inst, sol.x, t_i, t_next, opt.qp_eps)
         if est <= opt.delta:
-            return chain.result(x, sol, SolveStatus.OPTIMAL, "dual_bound", trace)
+            return chain.result(sol, SolveStatus.OPTIMAL, "dual_bound")
         t_i = chain.next_t(sol, t_i, t_next, opt.delta)
-    return chain.result(sol.x, sol, SolveStatus.ITER_LIMIT, "iter_limit", trace)
+    return chain.result(sol, SolveStatus.ITER_LIMIT, "iter_limit")
 
 
 def solve_bisection(inst: ConicInstance,
@@ -321,19 +319,17 @@ def solve_bisection(inst: ConicInstance,
     ``opt.delta`` (so every converged solve carries a certificate).
     """
     opt = opt or BisectOptions()
-    trace: list[tuple[float, float]] = []
     interval_trace: list[tuple[float, float]] = []
 
     lp = _lp_relaxation(inst)
     chain = _QpChain(inst, lp.basis, lp.x)
     t_max, zero = _scale(inst, lp.x)
     if zero:  # t_max bounds the optimal sqrt(x'Qx)
-        return chain.result(lp.x, lp, SolveStatus.T_ZERO, "t_zero", trace)
+        return chain.result(lp, SolveStatus.T_ZERO, "t_zero")
 
-    t_min = 0.0
-    x_low_side: np.ndarray | None = None  # x(t_m) with t_m <= t*
+    t_min = 0.0  # 0, or t1 = sqrt(x0'Qx0) > 0 of a midpoint below t*
     x_high_side = lp.x  # the LP optimum plays x(t) for arbitrarily large t
-    incumbent_x, incumbent_sol = lp.x, lp
+    incumbent_sol = lp
     incumbent_obj = eval_objective(inst, lp.x)
     incumbent_est = math.inf
 
@@ -349,12 +345,11 @@ def solve_bisection(inst: ConicInstance,
         x0 = sol.x
         t1, zero = _scale(inst, x0)
         if zero:
-            incumbent_x, incumbent_sol = x0, sol
+            incumbent_sol = sol
             status, stop_reason = SolveStatus.T_ZERO, "t_zero"
             break
         if t0 <= t1:
             t_min = t1          # t0 was below the minimizer, and so is t1
-            x_low_side = x0
         else:
             t_max = t1          # t0 was above the minimizer, and so is t1
             x_high_side = x0
@@ -368,18 +363,17 @@ def solve_bisection(inst: ConicInstance,
                 incumbent_est > opt.delta and est <= opt.delta
                 and z0 <= incumbent_obj
                 + BISECT_GAP_TOL * max(abs(incumbent_obj), 1.0)):
-            incumbent_x, incumbent_obj, incumbent_sol = x0, z0, sol
+            incumbent_obj, incumbent_sol = z0, sol
             incumbent_est = est
-        trace.append((t0, incumbent_obj))
+        chain.trace.append((t0, incumbent_obj))
         z_lower = -math.inf
-        if x_low_side is not None:
-            z_lower = (float(inst.c @ x_high_side)
-                       + inst.omega * _scale(inst, x_low_side)[0])
+        if t_min > 0:
+            z_lower = float(inst.c @ x_high_side) + inst.omega * t_min
         gap_ok = (incumbent_obj - z_lower) <= BISECT_GAP_TOL * max(abs(z_lower), 1.0)
         if incumbent_est <= opt.delta and (gap_ok or est <= opt.delta):
             status = SolveStatus.OPTIMAL if gap_ok else SolveStatus.TOLERANCE_REACHED
             stop_reason = "gap" if gap_ok else "dual_bound"
             break
 
-    return chain.result(incumbent_x, incumbent_sol, status, stop_reason, trace,
+    return chain.result(incumbent_sol, status, stop_reason,
                         interval_trace=interval_trace)

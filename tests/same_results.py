@@ -11,7 +11,9 @@ that module's ``set_up`` and every instance is solved, loaded afresh, by
 each of the workload's drivers.  The JSON file records, per convex solve,
 the objective's ``repr``, the status, the stop reason, the pivots of every
 QP, the SHA-256 of the bytes of ``x``, the fixed-point jumps tried and
-taken, and whether the first QP ran Phase-1; per B&B tree, the status, the
+taken, whether the first QP ran Phase-1, the ``repr`` of ``t``, the
+``trace`` and ``interval_trace`` and the certificate's ``residual_inf``
+(``None`` without a certificate); per B&B tree, the status, the
 incumbent's bytes and objective, and the node, QP, pivot, warm-accept,
 repair, infeasible-node, uncertified-node and jump counts.  Two versions
 of the code give the same results on these sets exactly when their files
@@ -42,7 +44,10 @@ def convex_record(res) -> dict:
             "stop_reason": res.stop_reason, "qp_pivots": list(res.qp_pivots),
             "x_sha256": hashlib.sha256(res.x.tobytes()).hexdigest(),
             "jumps_tried": res.jumps_tried, "jumps_taken": res.jumps_taken,
-            "first_qp_used_phase1": res.first_qp_used_phase1}
+            "first_qp_used_phase1": res.first_qp_used_phase1,
+            "t": repr(res.t), "trace": res.trace,
+            "interval_trace": res.interval_trace,
+            "residual_inf": None if res.kkt is None else res.kkt.residual_inf}
 
 
 def bnb_record(res) -> dict:

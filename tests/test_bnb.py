@@ -261,13 +261,19 @@ class TestSolveBnb:
         real = conicqp.bnb.solve_cd
         counts = []
 
-        def spy(*args, **kwargs):
+        def record(out, warm, status):
+            counts.append(dict(
+                qp=out.qp_count, piv=out.pivot_count, tried=out.jumps_tried,
+                taken=out.jumps_taken, phase1=out.first_qp_used_phase1,
+                warm=warm is not None, status=status))
+
+        def spy(*args, warm=None, **kwargs):
             try:
-                res = real(*args, **kwargs)
+                res = real(*args, warm=warm, **kwargs)
             except InfeasibleError as err:
-                counts.append((err.qp_count, err.pivot_count))
+                record(err, warm, None)
                 raise
-            counts.append((res.qp_count, res.pivot_count))
+            record(res, warm, res.status)
             return res
 
         monkeypatch.setattr(conicqp.bnb, "solve_cd", spy)
@@ -276,8 +282,19 @@ class TestSolveBnb:
         assert res.infeasible_nodes == 1
         assert res.warm_accepts + res.warm_repairs == res.nodes_processed - 1
         assert len(counts) == res.nodes_processed
-        assert res.qp_count == sum(qp for qp, _ in counts)
-        assert res.pivot_count == sum(piv for _, piv in counts)
+        assert res.qp_count == sum(c["qp"] for c in counts)
+        assert res.pivot_count == sum(c["piv"] for c in counts)
+        # every counter on the result is the sum over the node relaxations
+        assert res.jumps_tried == sum(c["tried"] for c in counts)
+        assert res.jumps_taken == sum(c["taken"] for c in counts)
+        assert res.warm_accepts == sum(c["warm"] and not c["phase1"]
+                                       for c in counts)
+        assert res.warm_repairs == sum(c["warm"] and c["phase1"]
+                                       for c in counts)
+        assert res.infeasible_nodes == sum(c["status"] is None for c in counts)
+        assert res.uncertified_nodes == sum(
+            c["status"] in (SolveStatus.ITER_LIMIT, SolveStatus.UNCERTIFIED)
+            for c in counts)
 
 
 class TestFixedPointJumps:

@@ -12,8 +12,7 @@ import conicqp.qp
 from conicqp import ConicInstance, Polyhedron, QuadraticForm, save_instance
 from conicqp.cli import EXIT_INFEASIBLE, EXIT_LIMIT, EXIT_OK, EXIT_USAGE, main
 
-from test_bad_inputs import bad_instance
-from test_solvers import singular_instance
+from test_solvers import seeded, singular_instance
 
 
 def write_simplex_instance(path, c=(0.0, 0.0), omega=1.0):
@@ -157,11 +156,9 @@ class TestSolve:
         assert main(["solve", "--instance", str(inst)]) == EXIT_LIMIT
         assert "LP not solved" in capsys.readouterr().err
 
-    def test_uncertified_not_solved(self, tmp_path, capsys):
+    def test_uncertified_not_solved(self, tmp_path, capsys, off_the_equalities):
         path = tmp_path / "offset.json"
-        save_instance(bad_instance(seed=4797, rows="card", pins=0,
-                                   extra="none", d_scale=1e-10, costs="tied",
-                                   omega=1e-6), path)
+        save_instance(seeded(31, n=30), path)
         rc = main(["solve", "--alg", "bisect", "--instance", str(path)])
         assert rc == EXIT_LIMIT
         assert "status        Uncertified" in capsys.readouterr().out

@@ -10,6 +10,8 @@ from scipy.optimize import OptimizeResult
 import conicqp.qp
 import conicqp.solvers
 from conicqp import (
+    BnbOptions,
+    BnbStatus,
     ConicInstance,
     LpFailureError,
     Polyhedron,
@@ -20,6 +22,7 @@ from conicqp import (
     SolveStatus,
     StartMode,
     solve_bisection,
+    solve_bnb,
     solve_cd,
     solve_lp,
     solve_qp,
@@ -516,6 +519,63 @@ class TestZeroStepThreshold:
     def test_round_off_step_does_not_cycle(self, solver, params):
         inst = bad_instance(**params)
         assert_certified(inst, solver(inst))
+
+    # bad-input corpus instance 176: at 16 ulps the first QP cycled in
+    # Bland mode until its pivot cap, in every driver
+    CORPUS_176 = dict(seed=4580, rows="dense", pins=0, extra="duplicate",
+                      d_scale=0.0, costs="tied", omega=1e-6)
+
+    @pytest.mark.parametrize("solver", [solve_cd, solve_bisection],
+                             ids=["cd", "bisection"])
+    def test_corpus_176_is_certified(self, solver):
+        inst = bad_instance(**self.CORPUS_176)
+        assert_certified(inst, solver(inst))
+
+    def test_corpus_176_tree_is_certified(self):
+        inst = bad_instance(**self.CORPUS_176, discrete=True)
+        res = solve_bnb(inst, BnbOptions(node_limit=200))
+        assert res.status in (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
+        x = res.incumbent_x
+        assert inst.poly.contains(x, tol=1e-7)
+        assert np.abs(x - np.round(x)).max() <= 1e-5
+
+
+class TestRestoreEqualities:
+    """At its optimal exit the primal loop puts an x that drifted off
+    Ax = b back on it, with one step on the working set that must keep the
+    free variables within their bounds."""
+
+    @staticmethod
+    def solved_engine():
+        # min |x|^2 / 2 over x1 + x2 = 1.5 in [0, 1]^2: both stay free
+        poly = Polyhedron(A=[[1.0, 1.0]], b=[1.5], lower=[0, 0], upper=[1, 1])
+        eng = ActiveSetEngine(QpProblem(linear=np.zeros(2), quad=identity_form(2),
+                                        sigma=1.0, offset=0.0, poly=poly))
+        assert (eng.solve().basis.status == BASIC).all()
+        return eng
+
+    def test_step_puts_x_back_on_the_equalities(self):
+        eng = self.solved_engine()
+        eng.x = np.array([0.9, 0.5])  # 0.1 short of x1 + x2 = 1.5
+        eng._restore_equalities()
+        np.testing.assert_allclose(eng.x, [0.95, 0.55], rtol=0, atol=1e-12)
+
+    def test_step_that_leaves_the_bounds_is_refused(self):
+        eng = self.solved_engine()
+        eng.x = np.array([0.95, 0.0])  # the step (0.275, 0.275) takes x1 to 1.225
+        eng._restore_equalities()
+        np.testing.assert_array_equal(eng.x, [0.95, 0.0])
+
+    @pytest.mark.parametrize("solver", [solve_cd, solve_bisection],
+                             ids=["cd", "bisection"])
+    def test_drifted_point_is_certified(self, solver):
+        # bad-input corpus instance 659: omega = 1e-6 and D = 1e-10, where
+        # the last QP ended Optimal 4e-7 off sum(x) = 2 without the step
+        inst = bad_instance(seed=4797, rows="card", pins=0, extra="none",
+                            d_scale=1e-10, costs="tied", omega=1e-6)
+        res = solver(inst)
+        assert_certified(inst, res)
+        assert np.abs(inst.poly.A @ res.x - inst.poly.b).max() <= 1e-7
 
 
 class TestBorderSchurComplement:

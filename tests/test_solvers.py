@@ -273,11 +273,10 @@ class TestTypedOutcomes:
         with pytest.raises(SingularKktError):
             solver(singular_instance())
 
-    def test_point_off_the_equalities_is_uncertified(self):
-        # omega = 1e-6 and D = 1e-10: the last QP ends Optimal at a point
-        # 4e-7 off sum(x) = 2, which kkt_residual refuses
-        inst = bad_instance(seed=4797, rows="card", pins=0, extra="none",
-                            d_scale=1e-10, costs="tied", omega=1e-6)
+    def test_point_off_the_equalities_is_uncertified(self, off_the_equalities):
+        # the stand-in moves every QP's point 1e-4 off sum(x) = b, so the
+        # run stops solved at a point that kkt_residual refuses
+        inst = seeded(31, n=30)
         res = solve_bisection(inst)
         assert not inst.poly.contains(res.x, tol=1e-7)
         assert res.status == SolveStatus.UNCERTIFIED
