@@ -236,7 +236,9 @@ def cmd_bench(args) -> int:
             pivot_count=round(sum(r.pivot_count for r in rows) / k),
             nodes=round(sum(r.nodes for r in rows) / k),
             objective=sum(r.objective for r in rows) / k,
-            kkt_residual=max(r.kkt_residual for r in rows),
+            # NaN when a run has no residual, in whatever order the rows come
+            kkt_residual=(math.nan if any(math.isnan(r.kkt_residual) for r in rows)
+                          else max(r.kkt_residual for r in rows)),
             egap=sum(r.egap for r in rows) / k,
             solved=all(r.solved for r in rows),
         ))

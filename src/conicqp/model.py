@@ -103,6 +103,11 @@ class QuadraticForm:
     def r(self) -> int:
         return self.F.shape[1]
 
+    @property
+    def W(self) -> np.ndarray:
+        """W = F H, so that Q = W W' + diag(D); read-only by convention."""
+        return self._W
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Q @ x via the factored form."""
         return self._W @ (self._W.T @ x) + self.D * x
@@ -126,6 +131,12 @@ class QuadraticForm:
         blk = self._W[rows] @ self._W[cols].T
         blk += np.where(rows[:, None] == cols, self.D[cols], 0.0)
         return blk
+
+    def column(self, rows: np.ndarray, j: int) -> np.ndarray:
+        """Q[rows, j] via the factored form."""
+        col = self._W[rows] @ self._W[j]
+        col[rows == j] += self.D[j]
+        return col
 
     def diagonal(self) -> np.ndarray:
         """diag(Q) = row norms of W squared plus D."""

@@ -21,19 +21,32 @@ working-set changes; the Schur complement gains or loses one row and one
 column per change instead of being formed again, and each direction solve
 scales its right-hand side by ``1/sigma``.  The system is refactorized from
 scratch every 100 updates or when a growth monitor exceeds 1e8.  Both LUs
-and their solves call LAPACK's ``getrf`` and ``getrs`` directly, not
-through SciPy's wrappers, whose fixed cost per call exceeds a small
-bordered solve's arithmetic; each LU's pivot test (a pivot exactly zero or
-below a relative tolerance) is the only report of singularity.  A
-solution's basis carries its final factor, and the next QP on the same
-polyhedron and quadratic form adopts a copy of it when its free set
-matches, so a warm QP that takes no pivots costs one solve and no
-factorization.  The same factor gives ``scale_ray``, the slopes of a
-solution's x and sigma-scaled multipliers along 1/sigma with the working
-set fixed, in one more bordered solve.  LPs (sigma = 0), Phase-1 included,
-are one-off cold solves in the HiGHS dual simplex (``solve_lp``), whose
-vertex and multipliers come back in the engine's conventions, ready to
-warm-start a QP.
+and their solves call LAPACK's ``getrf`` and ``getrs`` directly, and the
+row-rank test its pivoted QR, ``geqp3``, not through SciPy's wrappers,
+whose fixed cost per call exceeds a small factor's arithmetic; each LU's
+pivot test (a pivot exactly zero or below a relative tolerance) is the only
+report of singularity.  A solution's basis carries its final factor, and
+the next QP on the same polyhedron and quadratic form adopts a copy of it
+when its free set matches, so a warm QP that takes no pivots costs one
+solve and no factorization.  The same factor gives ``scale_ray``, the
+slopes of a solution's x and sigma-scaled multipliers along 1/sigma with
+the working set fixed, in one more bordered solve.  LPs (sigma = 0),
+Phase-1 included, are one-off cold solves in the HiGHS dual simplex
+(``solve_lp``), whose vertex and multipliers come back in the engine's
+conventions, ready to warm-start a QP.
+
+Work per primal pivot, with F the free set, r the number of columns of W
+in ``Q = W W' + diag(D)``, N0 the order of the base and k the border's
+length: the direction solve (``free_step``), which keeps the free set and
+reads the gradient on F only, costs O(N0^2 + N0 k + k^3); the zero-step
+test, the ratio test and the update of x, of the gradient on F and of the
+kept W'x cost O(|F| r); fixing or freeing a variable changes one border
+entry in O(N0^2 + N0 k), plus O(|F| r) for a freed variable's column of
+Q, and updates the pricing signs and max |x_j| over the fixed variables
+in O(1).  The only O(n) work is pricing, once per full or zero step: the
+reduced costs of all variables, formed from x and the kept W'x in one
+O(n (r + m)) pass.  Every 64 steps, and after each refactorization, W'x
+and the gradient are formed afresh from x.
 
 A KKT system found singular is recovered in one place, ``solve``: during
 the feasible start the engine drops the factor and runs Phase-1 again;
@@ -85,12 +98,35 @@ class StartMode(Enum):
     DUAL_START = "DualStart"
 
 
-# the routines behind scipy.linalg.lu_factor and lu_solve, without their wrappers
-_getrf, _getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"))
+# the routines behind scipy.linalg.lu_factor, lu_solve and the pivoted qr,
+# without their wrappers
+_getrf, _getrs, _geqp3 = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getrs", "geqp3"))
+# BLAS's y = alpha op(a) x + beta y, which adds into y in place; numpy's matmul
+# has no such form, and it runs A'lam with one row of A outside BLAS
+_gemv = scipy.linalg.get_blas_funcs("gemv", dtype=float)
+
+# the zero-step threshold's factor: 64 ulps of the direction solve's
+# right-hand side
+_ZERO_STEP_ULPS = 64 * np.finfo(float).eps
+
+
+# Reductions of a 1-d v through argmax and argmin, which on short arrays cost
+# a fraction of numpy's max and min; like those, they return NaN when v holds
+# one.
+
+def _max(v: np.ndarray) -> float:
+    return float(v[v.argmax()])
+
+
+def _min(v: np.ndarray) -> float:
+    return float(v[v.argmin()])
 
 
 def _inf(v: np.ndarray) -> float:
-    return float(np.abs(v).max(initial=0.0))
+    """max |v_i| over the entries of v; 0 for an empty v."""
+    a = np.abs(v).ravel()
+    return _max(a) if a.size else 0.0
 
 
 def _lu(M: np.ndarray, rtol: float, what: str):
@@ -100,8 +136,10 @@ def _lu(M: np.ndarray, rtol: float, what: str):
     getrf flags, so getrf's status is not read."""
     lu, piv, _ = _getrf(M)
     du = np.abs(lu.diagonal())
-    if du.size and (du.min() == 0.0 or du.min() < rtol * du.max()):
-        raise SingularKktError(f"{what} is singular")
+    if du.size:
+        low = _min(du)
+        if low == 0.0 or low < rtol * _max(du):
+            raise SingularKktError(f"{what} is singular")
     return lu, piv
 
 
@@ -110,24 +148,38 @@ def _lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
     return _getrs(*lu, rhs)[0]
 
 
+def _pivoted_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's geqp3 on a nonempty M, as ``scipy.linalg.qr(M, mode="r",
+    pivoting=True)`` calls it, workspace query included, so R and the
+    pivots are the same bits: returns the packed factor, R in its upper
+    triangle, and the 0-based column order."""
+    lwork = int(_geqp3(M, lwork=-1)[3][0])
+    qr, jpvt, *_ = _geqp3(M, lwork=lwork)
+    return qr, jpvt - 1
+
+
 def _qr_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
     """Numerical rank of M and the column order of its pivoted QR (R only):
     the count of |r_ii| above 1e-11 max(1, |r_11|).  An empty M has rank 0
     and the identity order."""
-    r, piv = scipy.linalg.qr(M, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
+    if M.size == 0:
+        return 0, np.arange(M.shape[1])
+    qr, piv = _pivoted_qr(M)
+    diag = np.abs(np.diag(qr))
     tol = 1e-11 * max(1.0, diag.max(initial=0.0))
     return int(np.sum(diag > tol)), piv
 
 
-def _violations(status: np.ndarray, pinned: np.ndarray,
-                rc: np.ndarray) -> np.ndarray:
-    """How far each fixed, non-pinned variable's reduced cost rc points into
-    its free range, so that freeing it would lower the objective; -inf for
-    free and pinned variables."""
-    viol = np.where(status == AT_LOWER, -rc, rc)
-    viol[(status == BASIC) | pinned] = -math.inf
-    return viol
+def _signs(status: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """-1 at a lower bound, +1 at an upper bound, 0 for free and pinned
+    variables: ``rc * sign`` is how far each fixed, non-pinned variable's
+    reduced cost rc points into its free range, so that freeing it would
+    lower the objective, and 0 for the others."""
+    sign = np.zeros(status.shape)
+    sign[status == AT_LOWER] = -1.0
+    sign[status == AT_UPPER] = 1.0
+    sign[pinned] = 0.0
+    return sign
 
 
 def _zero_padded(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -211,13 +263,19 @@ class _KktFactor:
     ``Y = K0^-1 B``; ``S`` is kept up to date, one row and one column per
     border change, in the manner of the Schur-complement QP method of Gill,
     Murray, Saunders and Wright (1990), and LU-factored when a solve needs it.
-    ``step`` is the direction solve: the step and equality multipliers of
-    the working set for a gradient and a Hessian scale.
+    ``free_step`` is the direction solve: the step on the free set and the
+    equality multipliers of the working set for a gradient and a Hessian
+    scale; ``step`` gives the same step over all variables.
 
     The border arrays hold one border entry per row of ``_bt`` (B'), ``_yt``
     (Y') and per row and column of ``_c`` (C) and ``_s`` (S), with spare
     rows that double when full; ``B``, ``Y``, ``C`` and ``S`` are views of
-    the live part.
+    the live part.  Beside them, ``_var`` and ``_live`` describe the
+    primal unknowns of a bordered solve, the base variables followed by one
+    slot per border entry: the variable each belongs to, and whether it is
+    a free variable's step (false for a base variable a fix entry pins and
+    for a fix entry's multiplier).  So the free set, in the factor's order,
+    is ``_var[_live]``, and a solve needs no Python loop over the border.
 
     A factor refers to the polyhedron, quadratic form and pinned mask it was
     built on, never to an engine, so a solution can hand it to the next QP.
@@ -243,6 +301,8 @@ class _KktFactor:
         self._yt = np.zeros((4, self.N0))
         self._c = np.zeros((4, 4))
         self._s = np.zeros((4, 4))
+        self._var = np.concatenate([self.base_free, np.zeros(4, dtype=int)])
+        self._live = np.arange(nb + 4) < nb
         self._s_lu = None
         self.updates = 0
         self.needs_refactor = False
@@ -265,6 +325,12 @@ class _KktFactor:
         k = len(self.border)
         return self._s[:k, :k]
 
+    def free_vars(self) -> np.ndarray:
+        """The free set, in the order of the unknowns ``free_step`` solves
+        for: the base variables no fix entry pins, then the freed ones."""
+        k = self.nb + len(self.border)
+        return self._var[:k][self._live[:k]]
+
     def copy(self) -> "_KktFactor":
         """A copy with its own border arrays, trimmed to the live entries
         (at least the initial four rows), so a QP that adopts a factor and
@@ -275,6 +341,8 @@ class _KktFactor:
         n = max(len(self.border), 4)
         c._bt, c._yt = self._bt[:n].copy(), self._yt[:n].copy()
         c._c, c._s = self._c[:n, :n].copy(), self._s[:n, :n].copy()
+        c._var = self._var[: self.nb + n].copy()
+        c._live = self._live[: self.nb + n].copy()
         return c
 
     def serves(self, poly, quad, pinned, free_mask) -> bool:
@@ -285,9 +353,7 @@ class _KktFactor:
         if not np.array_equal(pinned, self.pinned):
             return False
         mine = np.zeros(poly.n, dtype=bool)
-        mine[self.base_free] = True
-        for kind, j in self.border:
-            mine[j] = kind == "free"
+        mine[self.free_vars()] = True
         return bool(np.array_equal(mine, free_mask))
 
     def _k0_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -301,11 +367,11 @@ class _KktFactor:
         if self.updates >= MAX_UPDATES:
             self.needs_refactor = True
 
-    def _append(self, entry, col, cross, diag):
-        """Add border entry k with B column ``col``, C row ``cross`` and C
-        diagonal ``diag``; S gains row and column k in O(N0 k).  The two are
-        formed apart, as ``C - B'Y`` forms them, so S keeps the round-off
-        asymmetry a from-scratch product would have."""
+    def _append(self, kind, j, col, cross, diag):
+        """Add border entry k = (kind, j) with B column ``col``, C row
+        ``cross`` and C diagonal ``diag``; S gains row and column k in
+        O(N0 k).  The two are formed apart, as ``C - B'Y`` forms them, so S
+        keeps the round-off asymmetry a from-scratch product would have."""
         y = self._k0_solve(col)
         if _inf(y) > GROWTH_LIMIT:
             self.needs_refactor = True
@@ -315,100 +381,120 @@ class _KktFactor:
                                   for a in (self._bt, self._yt))
             self._c, self._s = (_zero_padded(a, (2 * k, 2 * k))
                                 for a in (self._c, self._s))
+            self._var = np.concatenate([self._var, np.zeros(k, dtype=int)])
+            self._live = np.concatenate([self._live, np.zeros(k, dtype=bool)])
         self._bt[k], self._yt[k] = col, y
         self._c[:k, k] = self._c[k, :k] = cross
         self._c[k, k] = diag
         self._s[:k, k] = cross - self._bt[:k] @ y
         self._s[k, :k] = cross - self._yt[:k] @ col
         self._s[k, k] = diag - col @ y
-        self.border.append(entry)
+        self._var[self.nb + k] = j
+        self._live[self.nb + k] = kind == "free"
+        if kind == "fix":
+            self._live[self.pos[j]] = False
+        self.border.append((kind, j))
         self._mark_update()
 
     def _remove(self, idx: int):
         """Delete border entry idx: its row of B', Y', and its row and
         column of C and S, shifting the later entries up in place."""
         k = len(self.border)
-        del self.border[idx]
+        kind, j = self.border.pop(idx)
         for a in (self._bt, self._yt, self._c, self._s):
             a[idx:k - 1] = a[idx + 1:k]
         for a in (self._c, self._s):
             a[:k - 1, idx:k - 1] = a[:k - 1, idx + 1:k]
+        at = self.nb + idx
+        for a in (self._var, self._live):
+            a[at:self.nb + k - 1] = a[at + 1:self.nb + k]
+        if kind == "fix":
+            self._live[self.pos[j]] = True
         self._mark_update()
 
     def fix(self, j: int):
-        """Pin variable j (currently free) at its bound."""
+        """Pin variable j (currently free) at its bound: a base variable
+        gains a fix entry, a freed one loses its free entry."""
         j = int(j)
-        for i, ent in enumerate(self.border):
-            if ent == ("free", j):
-                self._remove(i)
-                return
+        if j not in self.pos:
+            self._remove(self.border.index(("free", j)))
+            return
         col = np.zeros(self.N0)
         col[self.pos[j]] = 1.0
         cross = np.zeros(len(self.border))  # unit rows never touch border vars
-        self._append(("fix", j), col, cross, 0.0)
+        self._append("fix", j, col, cross, 0.0)
 
     def free(self, j: int):
-        """Release variable j (currently fixed) into the free set."""
+        """Release variable j (currently fixed) into the free set: a base
+        variable loses its fix entry, another one gains a free entry."""
         j = int(j)
-        for i, ent in enumerate(self.border):
-            if ent == ("fix", j):
-                self._remove(i)
-                return
-        fr = [i for i, (kind, _) in enumerate(self.border) if kind == "free"]
-        idx = np.concatenate([self.base_free, np.array(
-            [self.border[i][1] for i in fr] + [j], dtype=int)])
-        h = self.quad.block(idx, np.array([j]))[:, 0]  # Q[idx, j]
+        if j in self.pos:
+            self._remove(self.border.index(("fix", j)))
+            return
+        nb, k = self.nb, len(self.border)
+        live = self._live[nb:nb + k]
+        idx = np.concatenate([self.base_free, self._var[nb:nb + k][live], [j]])
+        h = self.quad.column(idx, j)  # Q[idx, j]
         col = np.zeros(self.N0)
         col[: self.nb] = h[: self.nb]
         if self.mr:
             col[self.nb:] = self.A[self.rows, j]
-        cross = np.zeros(len(self.border))  # a fix entry's unit row is 0 at j
-        cross[fr] = h[self.nb:-1]
-        self._append(("free", j), col, cross, float(h[-1]))
+        cross = np.zeros(k)  # a fix entry's unit row is 0 at j
+        cross[live] = h[self.nb:-1]
+        self._append("free", j, col, cross, float(h[-1]))
 
     def solve(self, rhs0, rhsb):
         """Solve the bordered system [[K0, B], [B', C]] [z; w] = [rhs0; rhsb],
         raising ``SingularKktError`` when the solution's residual is too large."""
         z = self._k0_solve(rhs0)
-        w = rb = np.zeros(0)
-        if self.border:
+        k = len(self.border)
+        tol = 1e-7 * (1.0 + _inf(np.concatenate([rhs0, rhsb])))
+        if k:
+            bt, yt = self._bt[:k], self._yt[:k]
             if self._s_lu is None:
-                self._s_lu = _lu(self.S, 1e-13, "border Schur complement")
-            w = _lu_solve(self._s_lu, rhsb - self.Y.T @ rhs0)
-            z = z - self.Y @ w
-            rb = self.B.T @ z + self.C @ w - rhsb
-        tol = 1e-7 * (1.0 + max(_inf(rhs0), _inf(rhsb)))
-        r0 = self.K0 @ z - rhs0 + self.B @ w  # B @ w is zero with no border
+                self._s_lu = _lu(self._s[:k, :k], 1e-13, "border Schur complement")
+            w = _lu_solve(self._s_lu, rhsb - yt @ rhs0)
+            z = z - yt.T @ w
+            resid = np.concatenate([self.K0 @ z - rhs0 + bt.T @ w,
+                                    bt @ z + self._c[:k, :k] @ w - rhsb])
+        else:
+            w, resid = rhsb, self.K0 @ z - rhs0
         # written so that a NaN residual fails the check
-        if not (_inf(r0) <= tol and _inf(rb) <= tol):
+        if not _inf(resid) <= tol:
             raise SingularKktError("bordered solve residual too large")
         return z, w
+
+    def free_step(self, d: np.ndarray, sigma: float,
+                  eq_resid: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """EQP step on this working set: the free set F (``free_vars``),
+        the step p_F and the equality multipliers lam.
+
+        Solves [[sigma Q_FF, A_F'], [A_F, 0]] [p; y] = [-d_F; eq_resid] as
+        [[Q_FF, A_F'], [A_F, 0]] [p; y/sigma] = [-d_F/sigma; eq_resid] on the
+        sigma-free factor; lam = -y.  Reads d at the factor's variables only:
+        on F, and at the base variables fix entries pin, where d only moves
+        the pinning entry's own multiplier, so any finite value serves.
+        """
+        nb, k = self.nb, len(self.border)
+        var, live = self._var[:nb + k], self._live[:nb + k]
+        g = d[var] / -sigma
+        rhs0 = np.zeros(self.N0)
+        rhs0[:nb] = g[:nb]
+        if eq_resid is not None:
+            rhs0[nb:] = eq_resid[self.rows]
+        z, w = self.solve(rhs0, np.where(live[nb:], g[nb:], 0.0))
+        lam = np.zeros(self.A.shape[0])
+        lam[self.rows] = -sigma * z[nb:]
+        return var[live], np.concatenate([z[:nb], w])[live], lam
 
     def step(self, d: np.ndarray, sigma: float,
              eq_resid: np.ndarray | None = None
              ) -> tuple[np.ndarray, np.ndarray]:
-        """EQP step p and equality multipliers lam on this working set.
-
-        Solves [[sigma Q_FF, A_F'], [A_F, 0]] [p; y] = [-d_F; eq_resid] as
-        [[Q_FF, A_F'], [A_F, 0]] [p; y/sigma] = [-d_F/sigma; eq_resid] on the
-        sigma-free factor; lam = -y.
-        """
-        m, n = self.A.shape
-        g = d / -sigma
-        rhs0 = np.zeros(self.N0)
-        rhs0[: self.nb] = g[self.base_free]
-        if eq_resid is not None:
-            rhs0[self.nb:] = eq_resid[self.rows]
-        rhsb = np.array(
-            [g[j] if kind == "free" else 0.0 for kind, j in self.border]
-        )
-        z, w = self.solve(rhs0, rhsb)
-        p = np.zeros(n)
-        p[self.base_free] = z[: self.nb]
-        for i, (kind, j) in enumerate(self.border):
-            p[j] = w[i] if kind == "free" else 0.0
-        lam = np.zeros(m)
-        lam[self.rows] = -sigma * z[self.nb:]
+        """``free_step``'s step over all variables, zero off F, and lam."""
+        free, pf, lam = self.free_step(d, sigma, eq_resid)
+        p = np.zeros(self.A.shape[1])
+        p[free] = pf
         return p, lam
 
 
@@ -447,17 +533,53 @@ class ActiveSetEngine:
         self._degen_streak = 0
         self._bland = False
         self._rows_cache: np.ndarray | None = None
+        # pivot state, kept up to date by each pivot: the pricing sign of
+        # every variable (see _signs), max |x_j| over the fixed variables and
+        # how many attain it, the gradient d (exact on the free set), W'x,
+        # and the steps taken since d and W'x were last formed from x
+        self.sign = np.zeros(self.n)
+        self._xfix_inf, self._xfix_at = 0.0, 0
+        self.d = np.zeros(self.n)
+        self._wx = np.zeros(self.quad.r)
+        self._steps = 0
+        self._sigma_D = self.sigma * self.quad.D
 
     # ------------------------------------------------------------------
-    # Hessian products
+    # Gradient
     # ------------------------------------------------------------------
 
-    def _hmatvec(self, v: np.ndarray) -> np.ndarray:
-        """sigma * Q @ v."""
-        return self.sigma * self.quad.matvec(v)
+    def _form_gradient(self):
+        """Form W'x and the gradient d = g + sigma Q x over all variables
+        from x; the step count starts again."""
+        W = self.quad.W
+        self._wx = W.T @ self.x
+        self.d = self.g + self.sigma * (W @ self._wx + self.quad.D * self.x)
+        self._steps = 0
 
-    def _gradient(self) -> np.ndarray:
-        return self.g + self._hmatvec(self.x)
+    def _reduced_costs(self, lam: np.ndarray) -> np.ndarray:
+        """rc = g + sigma Q x - A'lam over all variables, from the kept W'x:
+        two gemv calls that add in place to g + sigma D x, one O(n r) and
+        one O(n m)."""
+        rc = self._sigma_D * self.x
+        rc += self.g
+        rc = _gemv(self.sigma, self.quad.W.T, self._wx, beta=1.0, y=rc,
+                   trans=1, overwrite_y=1)
+        if self.m:  # the wrapper refuses an empty lam
+            rc = _gemv(-1.0, self.A.T, lam, beta=1.0, y=rc, overwrite_y=1)
+        return rc
+
+    def _move(self, free: np.ndarray, dx: np.ndarray):
+        """x_F += dx, with W'x and d on the free set F kept up to date in
+        O(|F| r): sigma Q dx restricted to F is sigma (W_F (W_F' dx) + D_F
+        dx), as dx is zero off F.  Every 64th step forms W'x and d afresh."""
+        self.x[free] += dx
+        WF = self.quad.W[free]
+        wdx = WF.T @ dx
+        self._wx += wdx
+        self.d[free] += self.sigma * (WF @ wdx + self.quad.D[free] * dx)
+        self._steps += 1
+        if self._steps >= 64:
+            self._form_gradient()
 
     # ------------------------------------------------------------------
     # Working-set bookkeeping and factorization management
@@ -539,25 +661,50 @@ class ActiveSetEngine:
             self.factor = handed.copy()
             self._rows_cache = handed.rows  # row analysis depends on poly only
             self.factor_reused = True
-            return
-        rows = self._kept_rows()
-        self._ensure_row_rank(rows)
-        self.factor = _KktFactor(self.poly, self.quad, self.pinned, rows,
-                                 self._free_idx())
+        else:
+            rows = self._kept_rows()
+            self._ensure_row_rank(rows)
+            self.factor = _KktFactor(self.poly, self.quad, self.pinned, rows,
+                                     self._free_idx())
+        self.sign = _signs(self.status, self.pinned)
+        self._fixed_max()
+
+    def _fixed_max(self):
+        """Form max |x_j| over the fixed variables, and how many attain it."""
+        ax = np.abs(self.x[self.status != BASIC])
+        self._xfix_inf = _max(ax) if ax.size else 0.0
+        self._xfix_at = int(np.count_nonzero(ax == self._xfix_inf))
 
     def _refactor(self):
+        """A fresh factor; it may free more variables (``_ensure_row_rank``),
+        so d is formed afresh too."""
         self.factor = None
         self._build_factor()
+        self._form_gradient()
 
     def _fix_var(self, j: int, side: int):
         self.status[j] = side
+        self.sign[j] = -1.0 if side == AT_LOWER else 1.0
         self.x[j] = self.lower[j] if side == AT_LOWER else self.upper[j]
+        xj = abs(float(self.x[j]))
+        if xj > self._xfix_inf:
+            self._xfix_inf, self._xfix_at = xj, 1
+        elif xj == self._xfix_inf:
+            self._xfix_at += 1
         self.factor.fix(j)
         if self.factor.needs_refactor:
             self._refactor()
 
     def _free_var(self, j: int):
+        """Free j; d_j, not kept while j was fixed, is formed from W'x."""
         self.status[j] = BASIC
+        self.sign[j] = 0.0
+        self.d[j] = self.g[j] + self.sigma * (self.quad.W[j] @ self._wx
+                                              + self.quad.D[j] * self.x[j])
+        if abs(float(self.x[j])) == self._xfix_inf:
+            self._xfix_at -= 1
+            if not self._xfix_at:  # j held the max alone
+                self._fixed_max()
         self.factor.free(j)
         if self.factor.needs_refactor:
             self._refactor()
@@ -566,79 +713,83 @@ class ActiveSetEngine:
     # Primal active-set loop
     # ------------------------------------------------------------------
 
-    def _ratio_test(self, p: np.ndarray) -> tuple[float, int, int]:
-        """Two-pass (Harris) ratio test.
+    def _ratio_test(self, free: np.ndarray, pf: np.ndarray, rate: np.ndarray,
+                    p_inf: float, xf: np.ndarray, x_inf: float
+                    ) -> tuple[float, int, int]:
+        """Two-pass (Harris) ratio test along the step pf on the free set.
 
-        Pass one finds the smallest step with every bound relaxed by the
-        feasibility tolerance; pass two blocks on the candidate with the
-        largest |p_j| among those whose exact step fits under it.  Choosing
-        large pivots keeps the working set numerically well conditioned; the
-        bound overshoot this allows is at most the feasibility tolerance.
+        Takes the pivot's free set, step, |p_F|, |p_F|_inf, x_F and
+        |x|_inf; returns the largest step, the blocking variable's position
+        in the free set and the bound it blocks at.  Pass one finds the
+        smallest step with every bound relaxed by the feasibility
+        tolerance; pass two blocks on the candidate with the largest |p_j|
+        among those whose exact step fits under it.  Choosing large pivots
+        keeps the working set numerically well conditioned; the bound
+        overshoot this allows is at most the feasibility tolerance.
         """
-        free = self._free_idx()
-        pf = p[free]
-        moving = np.abs(pf) > RATIO_TOL * max(1.0, _inf(pf))
-        idx, pm = free[moving], pf[moving]
-        up = pm > 0
-        rate = np.abs(pm)
-        gap = np.maximum(np.where(up, self.upper[idx] - self.x[idx],
-                                  self.x[idx] - self.lower[idx]), 0.0)
-        side = np.where(up, AT_UPPER, AT_LOWER)
+        at = (rate > RATIO_TOL * max(1.0, p_inf)).nonzero()[0]
+        idx, up, rate, xm = free[at], pf[at] > 0, rate[at], xf[at]
+        gap = np.maximum(np.where(up, self.upper[idx] - xm,
+                                  xm - self.lower[idx]), 0.0)
         # no choice below depends on the candidates' order: min is exact,
         # and ties go to the smaller index
         alphas = gap / rate
         if self._bland:
-            alpha_best = float(alphas.min())
+            alpha_best = _min(alphas)
             near = alphas <= alpha_best + 1e-13 * (1.0 + alpha_best)
-            k = int(np.flatnonzero(near)[np.argmin(idx[near])])
-            return float(alphas[k]), int(idx[k]), int(side[k])
-        ftol = FEAS_TOL * (1.0 + _inf(self.x))
-        alpha_relaxed = float(np.min((gap + ftol) / rate))
-        cand = np.flatnonzero(alphas <= alpha_relaxed)
-        order = np.lexsort((idx[cand], -rate[cand]))
-        k = int(cand[order[0]])
-        return float(alphas[k]), int(idx[k]), int(side[k])
+            k = int(near.nonzero()[0][idx[near].argmin()])
+        else:
+            ftol = FEAS_TOL * (1.0 + x_inf)
+            alpha_relaxed = _min((gap + ftol) / rate)
+            cand = (alphas <= alpha_relaxed).nonzero()[0]
+            k = int(cand[np.lexsort((idx[cand], -rate[cand]))[0]])
+        return float(alphas[k]), int(at[k]), AT_UPPER if up[k] else AT_LOWER
 
     def _primal_loop(self) -> tuple[QpStatus, np.ndarray]:
         """Primal active-set pivots from a feasible x; returns the status and
-        the equality multipliers of the last direction solve."""
-        d = self._gradient()
-        refresh = 0
+        the equality multipliers of the last direction solve.
+
+        A pivot costs O(|F| r) besides the direction solve: the step, the
+        ratio test and the updates of x, W'x and d touch the free set F
+        alone.  Pricing reads the reduced costs of all variables, one
+        O(n (r + m)) pass per full or zero step."""
+        self._form_gradient()
         lam = np.zeros(self.m)
         while True:
             if self.pivots >= self.pivot_cap:
                 return QpStatus.ITER_LIMIT, lam
-            p, lam = self.factor.step(d, self.sigma)
-            free = self._free_idx()
+            free, pf, lam = self.factor.free_step(self.d, self.sigma)
+            rate = np.abs(pf)
+            p_inf = _max(rate) if rate.size else 0.0
+            xf = self.x[free]
+            x_inf = max(_inf(xf), self._xfix_inf)
             # |p_F| within 64 ulps of the solve's right-hand side d_F / sigma
             # is round-off, not a step: at tiny sigma such noise blocked on
             # the variable just freed, and those two pivots cycled
-            noise = 64 * np.finfo(float).eps * _inf(d[free]) / self.sigma
-            if _inf(p[free]) > 1e-11 * (1.0 + _inf(self.x)) + noise:
-                alpha_max, blocker, side = self._ratio_test(p)
+            noise = _ZERO_STEP_ULPS * _inf(self.d[free]) / self.sigma
+            if p_inf > 1e-11 * (1.0 + x_inf) + noise:
+                alpha_max, i, side = self._ratio_test(free, pf, rate, p_inf,
+                                                      xf, x_inf)
                 alpha = min(1.0, alpha_max)
-                if alpha > 0:
-                    self.x += alpha * p
-                    d += alpha * self._hmatvec(p)
-                    refresh += 1
-                    if refresh >= 64:
-                        d = self._gradient()
-                        refresh = 0
+                blocker = int(free[i])
+                dx = alpha * pf
+                if alpha_max < 1.0:  # the step ends on the blocker's bound
+                    bound = self.upper if side == AT_UPPER else self.lower
+                    dx[i] = bound[blocker] - xf[i]
+                if dx[i]:  # 0 only for a zero step onto a blocker on its bound
+                    self._move(free, dx)
                 if alpha_max < 1.0:
                     self._fix_var(blocker, side)
-                    self._count_pivot(("block", int(blocker), int(side)), alpha)
+                    self._count_pivot(("block", blocker, side), alpha)
                     continue
                 # full step: x is now the EQP optimum and lam from this
                 # solve certifies it
-                d = self._gradient()
-                refresh = 0
-            rc = d - self.A.T @ lam
-            j, side_viol = self._worst_violation(rc)
+            j, side_viol = self._worst_violation(self._reduced_costs(lam))
             if j is None:
                 self._restore_equalities()
                 return QpStatus.OPTIMAL, lam
             self._free_var(j)
-            self._count_pivot(("drop", int(j), int(side_viol)), 0.0)
+            self._count_pivot(("drop", j, side_viol), 0.0)
 
     def _restore_equalities(self):
         """Put an optimal x that drifted off Ax = b back on it.
@@ -658,10 +809,11 @@ class ActiveSetEngine:
             self.x = xn
 
     def _worst_violation(self, rc: np.ndarray) -> tuple[int | None, int]:
-        """The fixed variable to free: the lowest violating index in Bland
-        mode, else the largest violation; None when nothing prices in."""
-        viol = _violations(self.status, self.pinned, rc)
-        j = int(np.argmax(viol > PRICE_TOL) if self._bland else np.argmax(viol))
+        """The fixed variable to free, from the reduced costs rc, which it
+        overwrites: the lowest violating index in Bland mode, else the
+        largest violation; None when nothing prices in."""
+        viol = np.multiply(rc, self.sign, out=rc)
+        j = int((viol > PRICE_TOL).argmax() if self._bland else viol.argmax())
         if viol[j] <= PRICE_TOL:
             return None, AT_LOWER
         return j, int(self.status[j])
@@ -689,9 +841,9 @@ class ActiveSetEngine:
         bounds.  Returns whether it did so within the pivot cap."""
         self._build_factor()
         for _ in range(self.pivot_cap + 1):
-            d = self._gradient()
+            self._form_gradient()
             resid = self.poly.b - self.A @ self.x
-            p, _ = self.factor.step(d, self.sigma, resid)
+            p, _ = self.factor.step(self.d, self.sigma, resid)
             xn = self.x + p
             free = self._free_idx()
             ftol = FEAS_TOL * (1.0 + _inf(xn))
@@ -782,7 +934,8 @@ class ActiveSetEngine:
         mu_upper = np.zeros(self.n)
         objective, handover = math.inf, None
         if state != QpStatus.INFEASIBLE:
-            rc = self._gradient() - self.A.T @ lam
+            self._wx = self.quad.W.T @ self.x  # x may have moved since
+            rc = self._reduced_costs(lam)
             # a pinned variable is always AT_LOWER: _normalize_basis and
             # solve_lp set it so, and neither pricing nor _ensure_row_rank
             # frees it; it takes both multipliers, split by the sign of rc
@@ -879,8 +1032,7 @@ def working_set_holds(problem: QpProblem, status: np.ndarray, x: np.ndarray,
             or np.any(x[free] > poly.upper[free] + tol)):
         return False
     rc = problem.linear + problem.sigma * problem.quad.matvec(x) - poly.A.T @ lam
-    return not np.any(_violations(status, poly.lower == poly.upper, rc)
-                      > PRICE_TOL)
+    return not np.any(rc * _signs(status, poly.lower == poly.upper) > PRICE_TOL)
 
 
 def solve_qp(problem: QpProblem, warm: WorkingBasis | None = None,

@@ -314,6 +314,34 @@ class TestBench:
             assert r["solved"] == "False"
             assert math.isnan(float(r["objective"]))
 
+    @pytest.mark.parametrize("names", [("a.json", "b.json"), ("b.json", "a.json")],
+                             ids=["failed-first", "failed-last"])
+    def test_mean_residual_is_nan_when_a_run_has_none(self, tmp_path, capsys,
+                                                       names):
+        # one cell, two runs: the singular instance fails with no residual,
+        # the same instance with D = 1 is certified; the files sort in the
+        # order given, so the failed run's row comes first, then last
+        (tmp_path / "d").mkdir()
+        failed, solved = (tmp_path / "d" / name for name in names)
+        inst = singular_instance()
+        save_instance(inst, failed)
+        save_instance(ConicInstance(
+            c=inst.c, omega=inst.omega, poly=inst.poly,
+            q=QuadraticForm(F=inst.q.F, sigma_factor=inst.q.sigma_factor,
+                            D=np.ones(4))), solved)
+        out_csv = tmp_path / "bench.csv"
+        rc = main(["bench", "--dir", str(tmp_path / "d"), "--methods", "cd",
+                   "--csv", str(out_csv)])
+        assert rc == EXIT_OK
+        with out_csv.open() as fh:
+            rows = {r["instance"]: r for r in csv.DictReader(fh)}
+        assert math.isnan(float(rows[failed.name]["kkt_residual"]))
+        assert float(rows[solved.name]["kkt_residual"]) <= 1e-5
+        assert rows[solved.name]["solved"] == "True"
+        mean = rows["mean[2]"]
+        assert math.isnan(float(mean["kkt_residual"]))
+        assert mean["solved"] == "False"
+
     def test_bnb_skipped_on_convex_instance(self, tmp_path, capsys):
         (tmp_path / "d").mkdir()
         write_simplex_instance(tmp_path / "d" / "s.json")

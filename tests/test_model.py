@@ -219,6 +219,9 @@ class TestInvariants:
                                    rtol=0, atol=1e-12 * np.abs(dense).max())
         np.testing.assert_array_equal(q.block(rows, cols),
                                       dense[np.ix_(rows, cols)])
+        for j in (cols[0], rows[3]):  # rows[3] takes its D term
+            np.testing.assert_allclose(q.column(rows, j), dense[rows, j], rtol=0,
+                                       atol=1e-12 * np.abs(dense).max())
         for _ in range(50):
             x = rng.normal(size=40)
             lhs = q.F @ (q.sigma_factor @ (q.sigma_factor.T @ (q.F.T @ x))) + q.D * x

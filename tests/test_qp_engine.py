@@ -37,6 +37,9 @@ from conicqp.qp import (
     _KktFactor,
     _lu,
     _lu_solve,
+    _pivoted_qr,
+    _qr_rank,
+    _signs,
     scale_ray,
     working_set_holds,
 )
@@ -540,6 +543,84 @@ class TestZeroStepThreshold:
         assert np.abs(x - np.round(x)).max() <= 1e-5
 
 
+class TestPivotState:
+    """What the primal loop keeps from pivot to pivot instead of forming it
+    over all variables: the factor's free list, the pricing signs, max |x_j|
+    over the fixed variables and how many attain it, W'x and the gradient on
+    the free set.  After every primal pivot each must equal a fresh
+    recomputation."""
+
+    @staticmethod
+    def checked(monkeypatch):
+        """Spy on every primal pivot; returns the list of checked pivots."""
+        seen = []
+        real = ActiveSetEngine._count_pivot
+
+        def counting(eng, entry, alpha):
+            real(eng, entry, alpha)
+            if entry[0] == "dfix":  # the dual loop keeps none of this state
+                return
+            free = eng.factor.free_vars()
+            np.testing.assert_array_equal(np.sort(free),
+                                          np.flatnonzero(eng.status == BASIC))
+            np.testing.assert_array_equal(eng.sign, _signs(eng.status, eng.pinned))
+            ax = np.abs(eng.x[eng.status != BASIC])
+            assert eng._xfix_inf == ax.max(initial=0.0)
+            assert eng._xfix_at == np.count_nonzero(ax == eng._xfix_inf)
+            W = eng.quad.W
+            scale = (np.abs(W).T @ np.abs(eng.x)).max(initial=0.0)
+            np.testing.assert_allclose(eng._wx, W.T @ eng.x, rtol=0,
+                                       atol=1e-9 * scale)
+            fresh = (eng.g + eng.sigma * eng.quad.matvec(eng.x))[free]
+            np.testing.assert_allclose(eng.d[free], fresh, rtol=0,
+                                       atol=1e-9 * np.abs(fresh).max(initial=0.0))
+            seen.append(entry[0])
+
+        monkeypatch.setattr(ActiveSetEngine, "_count_pivot", counting)
+        return seen
+
+    @pytest.mark.parametrize("solver, inst", [
+        (solve_cd, gen_cardinality(GenSpec(family="cardinality", n=200, r=10,
+                                           alpha=0.1, omega=2.0, seed=5))),
+        (solve_bisection, gen_grid_path(GenSpec(family="gridpath", p=8, q=8, r=5,
+                                                alpha=0.1, omega=2.0, seed=4))),
+        # bad-input corpus instance 91: two pinned variables, a dependent
+        # row, and a singular-KKT recovery inside the primal loop
+        (solve_bisection, bad_instance(seed=2801, rows="grid", pins=2,
+                                       extra="dependent", d_scale=1.0,
+                                       costs="tied", omega=1e-6)),
+    ], ids=["cardinality", "grid", "corpus-91"])
+    def test_kept_state_matches_a_fresh_one(self, monkeypatch, solver, inst):
+        seen = self.checked(monkeypatch)
+        assert_certified(inst, solver(inst))
+        assert "block" in seen and "drop" in seen
+
+    def test_gradient_refresh_after_64_blocked_steps(self, monkeypatch):
+        # a box QP that starts with all 100 variables free at 0.5: each
+        # step towards the unconstrained minimum, beyond the upper bounds,
+        # blocks on one variable, so 100 blocked steps run in a row
+        n = 100
+        poly = Polyhedron(A=np.zeros((0, n)), b=np.zeros(0),
+                          lower=np.zeros(n), upper=np.ones(n))
+        prob = QpProblem(linear=-(10.0 + np.arange(n)), quad=identity_form(n),
+                         sigma=1.0, offset=0.0, poly=poly)
+        seen = self.checked(monkeypatch)
+        forms = []
+        spy_form = ActiveSetEngine._form_gradient
+
+        def forming(eng):
+            forms.append(eng._steps)
+            spy_form(eng)
+
+        monkeypatch.setattr(ActiveSetEngine, "_form_gradient", forming)
+        sol = solve_qp(prob, warm=WorkingBasis(np.full(n, BASIC, dtype=np.int8)),
+                       warm_x=np.full(n, 0.5))
+        assert sol.status == QpStatus.OPTIMAL
+        assert seen == ["block"] * n
+        assert 64 in forms  # the refresh, after the 64th step
+        np.testing.assert_array_equal(sol.x, np.ones(n))
+
+
 class TestRestoreEqualities:
     """At its optimal exit the primal loop puts an x that drifted off
     Ax = b back on it, with one step on the working set that must keep the
@@ -670,10 +751,10 @@ class TestBorderSchurComplement:
             fac.solve(np.array([np.inf, 0.0, 0.0]), np.zeros(0))
 
     def test_rejected_s_is_singular_from_scratch(self, monkeypatch):
-        # under solve_bisection the Schur LU's pivot test rejects S 27 times
-        # on this grid instance (pinned and dependent rows, omega = 1e-6,
-        # Bland mode); each rejected S must fail the same test when formed
-        # from scratch, so no rejection comes from drift of the kept S
+        # under solve_bisection the Schur LU's pivot test rejects S on this
+        # grid instance (pinned and dependent rows, omega = 1e-6); each
+        # rejected S must fail the same test when formed from scratch, so no
+        # rejection comes from drift of the kept S
         rejected = []
         real = _KktFactor.solve
 
@@ -698,8 +779,35 @@ class TestBorderSchurComplement:
 
 
 class TestLapackKernels:
-    """``_lu`` and ``_lu_solve`` call LAPACK directly; they must return
-    what SciPy's ``lu_factor`` and ``lu_solve`` return, bit for bit."""
+    """``_lu``, ``_lu_solve`` and ``_pivoted_qr`` call LAPACK directly; they
+    must return what SciPy's ``lu_factor``, ``lu_solve`` and pivoted ``qr``
+    return, bit for bit."""
+
+    def test_pivoted_qr_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(17)
+        shapes = [(1, 1), (1, 25), (25, 1), (2, 3), (3, 2), (5, 5), (7, 30),
+                  (30, 7), (12, 12), (40, 90), (90, 40), (64, 65), (120, 31),
+                  (31, 120), (150, 150), (200, 37), (37, 200), (255, 480),
+                  (480, 255), (3, 400)]
+        for m, n in shapes:
+            big = rng.normal(size=(2 * m, 2 * n))
+            big[:, 1::3] = big[:, ::3][:, : big[:, 1::3].shape[1]]  # rank-deficient
+            # contiguous, strided, and Fortran-ordered as the transposes
+            # that _kept_rows passes
+            for M in (big[m:, n:].copy(), big[::2, ::2],
+                      np.asfortranarray(big[:m, :n])):
+                before = M.copy()
+                qr, piv = _pivoted_qr(M)
+                r, ref = scipy.linalg.qr(M, mode="r", pivoting=True)
+                np.testing.assert_array_equal(np.triu(qr), r)
+                np.testing.assert_array_equal(piv, ref)
+                assert np.array_equal(M, before)  # factored in a copy
+
+    def test_qr_rank_of_empty_matrix(self):
+        for shape in ((0, 3), (4, 0), (0, 0)):
+            rank, piv = _qr_rank(np.zeros(shape))
+            assert rank == 0
+            np.testing.assert_array_equal(piv, np.arange(shape[1]))
 
     def test_exactly_singular_raises_without_warning(self):
         M = np.random.default_rng(14).normal(size=(6, 6))
@@ -754,7 +862,7 @@ class TestRecoveryPaths:
     def test_bland_mode(self, monkeypatch):
         modes = []
         spy(monkeypatch, "_count_pivot", lambda eng, _: modes.append(eng._bland))
-        inst = bad_instance(seed=3969, rows="grid", pins=1, extra="dependent",
+        inst = bad_instance(seed=3977, rows="dense", pins=1, extra="dependent",
                             d_scale=1.0, costs="tied", omega=1e-6)
         res = solve_bisection(inst)
         assert any(modes)
@@ -792,9 +900,9 @@ class TestRecoveryPaths:
             return out
 
         monkeypatch.setattr(ActiveSetEngine, "_primal_loop", looping)
-        # bad-input corpus instance 89
-        inst = bad_instance(seed=3040, rows="grid", pins=1, extra="duplicate",
-                            d_scale=1e-10, costs="tied", omega=1e-6)
+        # bad-input corpus instance 91
+        inst = bad_instance(seed=2801, rows="grid", pins=2, extra="dependent",
+                            d_scale=1.0, costs="tied", omega=1e-6)
         res = solve_cd(inst)
         assert ("singular", "done") in zip(events, events[1:])
         assert_certified(inst, res)
