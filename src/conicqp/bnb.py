@@ -114,11 +114,11 @@ def branch_select(x: np.ndarray, integer_vars) -> tuple[int, float, float]:
             best_d = d
     if best_d <= INT_TOL:
         raise ValueError("branch_select called on an integral point")
-    for j, d in scores:  # integer_vars is sorted, so lowest tied index wins
-        if d >= best_d - BRANCH_TIE_TOL:
-            v = float(x[j])
-            return j, math.floor(v), math.ceil(v)
-    raise AssertionError("unreachable")
+    # integer_vars is sorted, so the lowest tied index wins; the maximum is
+    # tied with itself, so there is always one
+    j = next(j for j, d in scores if d >= best_d - BRANCH_TIE_TOL)
+    v = float(x[j])
+    return j, math.floor(v), math.ceil(v)
 
 
 def _is_integral(x: np.ndarray, integer_vars) -> bool:

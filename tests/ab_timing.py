@@ -17,12 +17,16 @@ loads afresh; the version that goes first alternates from one solve to the
 next.  One untimed solve per version comes first.
 
 Printed per driver and per instance size: the median time of a solve for
-each version and the ratio of the change's total solve time to the
-parent's; then per version the total time, the time inside ``solve_qp``
-and its pivots, and the time inside ``solve_lp`` (the LP relaxation and
-any Phase-1), so that the QP time per pivot, Phase-1 excluded, shows
-where a difference sits.  Host drift between the two versions is spread
-over both sides alike, which separate benchmark processes cannot do.
+each version, the ratio of the change's median to the parent's, and the
+ratio of the change's total solve time to the parent's.  With few passes
+one slow solve decides a size's total, so the median ratio is the steadier
+of the two; an A/A run on ``convex-grid`` read total ratios of 0.52-1.75
+while its medians agreed within 12%.  Then per version the total time,
+the time inside ``solve_qp`` and its pivots, and the time inside
+``solve_lp`` (the LP relaxation and any Phase-1), so that the QP time per
+pivot, Phase-1 excluded, shows where a difference sits.  Host drift
+between the two versions is spread over both sides alike, which separate
+benchmark processes cannot do.
 
 Only ``perfbench/workloads.py`` is imported from the benchmark, and
 nothing there is changed.  Pytest does not collect this file.
@@ -125,7 +129,7 @@ def main(argv: list[str]) -> int:
     print(f"ab_timing {workload} seed={seed} passes={passes} "
           f"parent={parent_src} change={change_src}")
     print(f"{'driver':7s} {'size':22s} {'parent p50':>11s} {'change p50':>11s} "
-          f"{'total ratio':>11s}")
+          f"{'p50 ratio':>11s} {'total ratio':>11s}")
     total = {side: 0.0 for side in SIDES}
     for drv, size in dict.fromkeys((d, s) for d, s, _ in times):
         med = {side: statistics.median(times[drv, size, side]) for side in SIDES}
@@ -133,6 +137,7 @@ def main(argv: list[str]) -> int:
         for side in SIDES:
             total[side] += tot[side]
         print(f"{drv:7s} {size:22s} {med['parent']:11.4f} {med['change']:11.4f} "
+              f"{med['change'] / med['parent']:11.3f} "
               f"{tot['change'] / tot['parent']:11.3f}")
     print(f"total solve time: parent {total['parent']:.3f} s, change "
           f"{total['change']:.3f} s, ratio {total['change'] / total['parent']:.3f}")

@@ -26,6 +26,7 @@ from conicqp import (
     solve_cd,
     solve_lp,
     solve_qp,
+    subproblem_objective,
 )
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path, gen_quadratic
 from conicqp.qp import (
@@ -35,6 +36,7 @@ from conicqp.qp import (
     ActiveSetEngine,
     WorkingBasis,
     _KktFactor,
+    _inf,
     _lu,
     _lu_solve,
     _pivoted_qr,
@@ -463,45 +465,70 @@ class TestFactorHandover:
             assert got.pivot_log == alone.pivot_log
 
 
+def pricing_problems():
+    """QPs with no equality row, one row (cardinality) and many (a grid)."""
+    grid = gen_grid_path(GenSpec(family="gridpath", p=6, q=6, r=5, alpha=0.3,
+                                 omega=2.0, seed=3))
+    return [random_problem(np.random.default_rng(7), n=30, m=0, sigma=1.0),
+            card_problem(n=30, seed=7), subproblem_objective(grid, 1.0)]
+
+
+class TestReducedCosts:
+    @pytest.mark.parametrize("p", pricing_problems(),
+                             ids=["no-row", "one-row", "grid"])
+    def test_match_the_dense_reference(self, p):
+        eng = ActiveSetEngine(p)
+        sol = eng.solve()
+        assert sol.status == QpStatus.OPTIMAL
+        A, Q = p.poly.A, p.quad.dense()
+        ref = p.linear + p.sigma * (Q @ sol.x) - A.T @ sol.lam
+        # relative to the largest sum of magnitudes behind an entry
+        scale = _inf(np.abs(p.linear) + p.sigma * (np.abs(Q) @ np.abs(sol.x))
+                     + np.abs(A.T) @ np.abs(sol.lam))
+        np.testing.assert_allclose(eng._reduced_costs(sol.lam), ref, rtol=0,
+                                   atol=1e-12 * scale)
+
+
 class TestWorkingSetHolds:
     """``working_set_holds`` is the engine's own stopping test."""
 
     @staticmethod
     def solved():
-        p = card_problem(n=30, seed=7)
-        sol = solve_qp(p)
-        assert sol.status == QpStatus.OPTIMAL
-        return p, sol, sol.basis.status
+        """Each problem of ``pricing_problems`` with its optimal solution."""
+        for p in pricing_problems():
+            sol = solve_qp(p)
+            assert sol.status == QpStatus.OPTIMAL
+            yield p, sol, sol.basis.status
 
     def test_true_at_the_solution(self):
-        p, sol, status = self.solved()
-        assert working_set_holds(p, status, sol.x, sol.lam)
+        for p, sol, status in self.solved():
+            assert working_set_holds(p, status, sol.x, sol.lam)
 
     def test_false_once_a_fixed_variable_prices_in(self):
-        p, sol, status = self.solved()
-        j = int(np.flatnonzero(status != BASIC)[0])
-        # a unit shift of the cost against the bound frees j
-        shift = sol.mu_lower[j] + sol.mu_upper[j] + 1.0
-        linear = p.linear.copy()
-        linear[j] += -shift if status[j] == AT_LOWER else shift
-        shifted = QpProblem(linear=linear, quad=p.quad, sigma=p.sigma,
-                            offset=p.offset, poly=p.poly)
-        assert not working_set_holds(shifted, status, sol.x, sol.lam)
+        for p, sol, status in self.solved():
+            j = int(np.flatnonzero(status != BASIC)[0])
+            # a unit shift of the cost against the bound frees j
+            shift = sol.mu_lower[j] + sol.mu_upper[j] + 1.0
+            linear = p.linear.copy()
+            linear[j] += -shift if status[j] == AT_LOWER else shift
+            shifted = QpProblem(linear=linear, quad=p.quad, sigma=p.sigma,
+                                offset=p.offset, poly=p.poly)
+            assert not working_set_holds(shifted, status, sol.x, sol.lam)
 
     def test_false_once_a_free_variable_leaves_its_bounds(self):
         # the bounds move past x, so x, lam and the reduced costs stay put
-        p, sol, status = self.solved()
-        poly = p.poly
-        inside = (sol.x > poly.lower + 0.01) & (sol.x < poly.upper - 0.01)
-        j = int(np.flatnonzero((status == BASIC) & inside)[0])
-        for name, moved in (("upper", sol.x[j] - 1e-3),
-                            ("lower", sol.x[j] + 1e-3)):
-            bounds = {"lower": poly.lower.copy(), "upper": poly.upper.copy()}
-            bounds[name][j] = moved
-            tight = QpProblem(linear=p.linear, quad=p.quad, sigma=p.sigma,
-                              offset=p.offset,
-                              poly=Polyhedron(poly.A, poly.b, **bounds))
-            assert not working_set_holds(tight, status, sol.x, sol.lam)
+        for p, sol, status in self.solved():
+            poly = p.poly
+            inside = (sol.x > poly.lower + 0.01) & (sol.x < poly.upper - 0.01)
+            j = int(np.flatnonzero((status == BASIC) & inside)[0])
+            for name, moved in (("upper", sol.x[j] - 1e-3),
+                                ("lower", sol.x[j] + 1e-3)):
+                bounds = {"lower": poly.lower.copy(), "upper": poly.upper.copy()}
+                bounds[name][j] = moved
+                tight = QpProblem(linear=p.linear, quad=p.quad, sigma=p.sigma,
+                                  offset=p.offset,
+                                  poly=Polyhedron(poly.A, poly.b, **bounds))
+                assert not working_set_holds(tight, status, sol.x, sol.lam)
 
 
 class TestZeroStepThreshold:
