@@ -196,6 +196,14 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+def _integer(value, what: str) -> int:
+    """A JSON number with an integral value, as an int: 2 and 2.0 pass;
+    0.7, "2" and true, which ``int`` would take, are refused."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{what} must be an integral number, not {value!r}")
+
+
 def load_instance(path: str | Path) -> ConicInstance:
     text = Path(path).read_text()
     try:
@@ -210,8 +218,8 @@ def load_instance(path: str | Path) -> ConicInstance:
             f"(expected {FILE_VERSION})"
         )
     try:
-        n = int(_require(doc, "n"))
-        m = int(_require(doc, "m"))
+        n = _integer(_require(doc, "n"), "n")
+        m = _integer(_require(doc, "m"), "m")
         F = np.asarray(_require(doc, "F"), dtype=float).reshape(n, -1)
         H = np.asarray(_require(doc, "H"), dtype=float)
         D = np.asarray(_require(doc, "D"), dtype=float)
@@ -219,7 +227,16 @@ def load_instance(path: str | Path) -> ConicInstance:
         A = np.zeros((m, n))
         for entry in _require(doc, "A"):
             i, j, v = entry
-            A[int(i), int(j)] = float(v)
+            # save_instance writes ints, which need no call: an n = 3,200
+            # file has 3,200 entries, each checked in this pass
+            if type(i) is not int or type(j) is not int:
+                i, j = _integer(i, "row index"), _integer(j, "column index")
+            if not (0 <= i < m and 0 <= j < n):
+                raise ValueError(f"A entry {entry!r} lies outside the "
+                                 f"{m} x {n} matrix")
+            if type(v) is not float and type(v) is not int:
+                raise ValueError(f"A entry {entry!r}: {v!r} is not a number")
+            A[i, j] = v
         poly = Polyhedron(
             A=A, b=np.asarray(_require(doc, "b"), dtype=float),
             lower=np.asarray(_require(doc, "lower"), dtype=float),
@@ -228,7 +245,8 @@ def load_instance(path: str | Path) -> ConicInstance:
         inst = ConicInstance(
             c=np.asarray(_require(doc, "c"), dtype=float),
             omega=float(_require(doc, "omega")), q=q, poly=poly,
-            integer_vars=tuple(int(i) for i in _require(doc, "integer_vars")),
+            integer_vars=tuple(_integer(i, "integer variable")
+                               for i in _require(doc, "integer_vars")),
             meta=dict(doc.get("meta", {})),
         )
     except (ValueError, TypeError, IndexError) as exc:

@@ -21,19 +21,22 @@ working-set changes; the Schur complement gains or loses one row and one
 column per change instead of being formed again, and each direction solve
 scales its right-hand side by ``1/sigma``.  The system is refactorized from
 scratch every 100 updates or when a growth monitor exceeds 1e8.  Both LUs
-and their solves call LAPACK's ``getrf`` and ``getrs`` directly, and the
-row-rank test its pivoted QR, ``geqp3``, not through SciPy's wrappers,
-whose fixed cost per call exceeds a small factor's arithmetic; each LU's
-pivot test (a pivot exactly zero or below a relative tolerance) is the only
-report of singularity.  A solution's basis carries its final factor, and
-the next QP on the same polyhedron and quadratic form adopts a copy of it
-when its free set matches, so a warm QP that takes no pivots costs one
-solve and no factorization.  The same factor gives ``scale_ray``, the
-slopes of a solution's x and sigma-scaled multipliers along 1/sigma with
-the working set fixed, in one more bordered solve.  LPs (sigma = 0),
-Phase-1 included, are one-off cold solves in the HiGHS dual simplex
-(``solve_lp``), whose vertex and multipliers come back in the engine's
-conventions, ready to warm-start a QP.
+and their solves call LAPACK's ``getrf`` and ``getrs`` directly, and each
+row-rank test its one pivoted QR, ``geqp3``, not through SciPy's wrappers,
+whose fixed cost per call exceeds a small factor's arithmetic.  That one QR
+serves the whole test: ``orgqr`` forms its Q when a rank-deficient block
+needs a basis of its span, and its triangle gives dropped rows' combination
+of the kept ones as ``R11^-1 R12``.  Each LU's pivot test (a pivot exactly
+zero or below a relative tolerance) is the only report of singularity.  A
+solution's basis carries its final factor, and the next QP on the same
+polyhedron and quadratic form adopts a copy of it when its free set
+matches, so a warm QP that takes no pivots costs one solve and no
+factorization.  The same factor gives ``scale_ray``, the slopes of a
+solution's x and sigma-scaled multipliers along 1/sigma with the working
+set fixed, in one more bordered solve.  LPs (sigma = 0), Phase-1 included,
+are one-off cold solves in the HiGHS dual simplex (``solve_lp``), whose
+vertex and multipliers come back in the engine's conventions, ready to
+warm-start a QP.
 
 Work per primal pivot, with F the free set, r the number of columns of W
 in ``Q = W W' + diag(D)``, N0 the order of the base and k the border's
@@ -49,11 +52,12 @@ A'lam, in one O(n (r + m)) pass.  Every 64 steps, and after each
 refactorization, W'x and the gradient are formed afresh from x.  Every
 product runs in NumPy's BLAS; SciPy's serves only the LAPACK calls.
 
-A KKT system found singular is recovered in one place, ``solve``: during
-the feasible start the engine drops the factor and runs Phase-1 again;
-inside the primal loop it builds a fresh factorization and resumes, provided
-a pivot was made since the last such recovery.  A system that stays
-singular raises ``SingularKktError``.
+A KKT system found singular is recovered in one place, ``solve``: a dual
+start that finds it singular falls back to Phase-1, which builds a fresh
+factor; inside the primal loop the engine builds a fresh factorization and
+resumes, provided a pivot was made since the last such recovery.  A
+Phase-1 build found singular, or a system that stays singular, raises
+``SingularKktError``.
 """
 
 from __future__ import annotations
@@ -101,8 +105,8 @@ class StartMode(Enum):
 
 # the routines behind scipy.linalg.lu_factor, lu_solve and the pivoted qr,
 # without their wrappers
-_getrf, _getrs, _geqp3 = scipy.linalg.get_lapack_funcs(
-    ("getrf", "getrs", "geqp3"))
+_getrf, _getrs, _geqp3, _orgqr = scipy.linalg.get_lapack_funcs(
+    ("getrf", "getrs", "geqp3", "orgqr"))
 
 # the zero-step threshold's factor: 64 ulps of the direction solve's
 # right-hand side
@@ -146,26 +150,36 @@ def _lu_solve(lu, rhs: np.ndarray) -> np.ndarray:
     return _getrs(*lu, rhs)[0]
 
 
-def _pivoted_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK's geqp3 on a nonempty M, as ``scipy.linalg.qr(M, mode="r",
+def _pivoted_qr(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK's geqp3 on a nonempty M, as ``scipy.linalg.qr(M,
     pivoting=True)`` calls it, workspace query included, so R and the
-    pivots are the same bits: returns the packed factor, R in its upper
-    triangle, and the 0-based column order."""
+    pivots are the same bits: returns the packed factor (R in its upper
+    triangle, the Householder vectors below it), their scalars tau, and
+    the 0-based column order."""
     lwork = int(_geqp3(M, lwork=-1)[3][0])
-    qr, jpvt, *_ = _geqp3(M, lwork=lwork)
-    return qr, jpvt - 1
+    qr, jpvt, tau, *_ = _geqp3(M, lwork=lwork)
+    return qr, tau, jpvt - 1
 
 
-def _qr_rank(M: np.ndarray) -> tuple[int, np.ndarray]:
-    """Numerical rank of M and the column order of its pivoted QR (R only):
-    the count of |r_ii| above 1e-11 max(1, |r_11|).  An empty M has rank 0
-    and the identity order."""
+def _qr_q(qr: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The orthonormal factor of a packed QR, min(rows, columns) columns of
+    it, from LAPACK's orgqr as ``scipy.linalg.qr(M, mode="economic")``
+    calls it, workspace query included, so Q is the same bits."""
+    lwork = int(_orgqr(qr[:, :tau.size], tau, lwork=-1)[1][0])
+    return _orgqr(qr[:, :tau.size], tau, lwork=lwork)[0]
+
+
+def _qr_rank(M: np.ndarray) -> tuple:
+    """Numerical rank of M and its pivoted QR: the count of |r_ii| above
+    1e-11 max(1, |r_11|), then ``_pivoted_qr``'s packed factor, tau and
+    column order.  An empty M has rank 0, itself as its factor, no tau and
+    the identity order."""
     if M.size == 0:
-        return 0, np.arange(M.shape[1])
-    qr, piv = _pivoted_qr(M)
+        return 0, M, np.zeros(0), np.arange(M.shape[1])
+    qr, tau, piv = _pivoted_qr(M)
     diag = np.abs(np.diag(qr))
     tol = 1e-11 * max(1.0, diag.max(initial=0.0))
-    return int(np.sum(diag > tol)), piv
+    return int(np.sum(diag > tol)), qr, tau, piv
 
 
 def _signs(status: np.ndarray, pinned: np.ndarray) -> np.ndarray:
@@ -178,13 +192,6 @@ def _signs(status: np.ndarray, pinned: np.ndarray) -> np.ndarray:
     sign[status == AT_UPPER] = 1.0
     sign[pinned] = 0.0
     return sign
-
-
-def _zero_padded(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """A zero array of ``shape`` with ``a`` in its leading block."""
-    out = np.zeros(shape)
-    out[: a.shape[0], : a.shape[1]] = a
-    return out
 
 
 @dataclass
@@ -263,30 +270,35 @@ class QpSolution:
 class _KktFactor:
     """LU of the sigma-free base KKT matrix plus a bordered Schur complement.
 
-    The base matrix ``[[Q_FF, A_F'], [A_F, 0]]`` covers the free set F at
-    (re)factorization time and the kept equality rows.  It holds no Hessian
-    scale: ``[[sigma Q, A'], [A, 0]] [p; y] = [r0; r1]`` is the same system
-    as ``[[Q, A'], [A, 0]] [p; y/sigma] = [r0/sigma; r1]``, so one factor
-    serves every ``sigma``.  Later working-set changes append border
-    entries: ('fix', j) adds a unit constraint pinning a base variable,
-    ('free', j) adds the KKT column of a newly freed variable.  Solves go
-    through the Schur complement ``S = C - B'Y`` of the border block, with
-    ``Y = K0^-1 B``; ``S`` is kept up to date, one row and one column per
-    border change, in the manner of the Schur-complement QP method of Gill,
-    Murray, Saunders and Wright (1990), and LU-factored when a solve needs it.
-    ``free_step`` is the direction solve: the step on the free set and the
-    equality multipliers of the working set for a gradient and a Hessian
-    scale; ``step`` gives the same step over all variables.
+    The base matrix ``K0 = [[Q_FF, A_F'], [A_F, 0]]`` covers the free set F
+    at (re)factorization time and the kept equality rows.  It holds no
+    Hessian scale: ``[[sigma Q, A'], [A, 0]] [p; y] = [r0; r1]`` is the same
+    system as ``[[Q, A'], [A, 0]] [p; y/sigma] = [r0/sigma; r1]``, so one
+    factor serves every ``sigma``.  Later working-set changes append border
+    entries, at most one per variable: fixing a base variable adds a unit
+    constraint pinning it, freeing any other variable adds its KKT column.
+    Solves go through the Schur complement ``S = C - B'Y`` of the border
+    block, with ``Y = K0^-1 B``; ``S`` is kept up to date, one row and one
+    column per border change, in the manner of the Schur-complement QP
+    method of Gill, Murray, Saunders and Wright (1990), and LU-factored when
+    a solve needs it.  ``free_step`` is the direction solve: the step on the
+    free set and the equality multipliers of the working set for a gradient
+    and a Hessian scale; ``step`` gives the same step over all variables.
 
-    The border arrays hold one border entry per row of ``_bt`` (B'), ``_yt``
-    (Y') and per row and column of ``_c`` (C) and ``_s`` (S), with spare
-    rows that double when full; ``B``, ``Y``, ``C`` and ``S`` are views of
-    the live part.  Beside them, ``_var`` and ``_live`` describe the
-    primal unknowns of a bordered solve, the base variables followed by one
-    slot per border entry: the variable each belongs to, and whether it is
-    a free variable's step (false for a base variable a fix entry pins and
-    for a fix entry's multiplier).  So the free set, in the factor's order,
-    is ``_var[_live]``, and a solve needs no Python loop over the border.
+    The unknowns of the bordered system are ordered once: the base
+    variables' steps, the kept rows' multipliers, then one per border entry,
+    a fix entry's multiplier or a freed variable's step.  ``solve`` takes
+    one right-hand side and returns one solution in this order.  ``_var``
+    gives each slot's variable (-1 for a row's multiplier), so an entry is a
+    fix entry exactly when its variable is in the base (``_pos``, each
+    variable's base slot, is not -1); ``_live`` tells whether the slot is a
+    free variable's step (false for a base variable a fix entry pins, a
+    row's multiplier and a fix entry's).  So the free set, in the factor's
+    order, is ``_var[_live]``, and a solve needs no Python loop over the
+    border.  The border arrays hold entry i in row i of ``_bt`` (B') and
+    ``_yt`` (Y') and in row and column i of ``_c`` (C) and ``_s`` (S), with
+    spare rows that double when full; ``B``, ``Y``, ``C`` and ``S`` are
+    views of the ``k`` live entries.
 
     A factor refers to the polyhedron, quadratic form and pinned mask it was
     built on, never to an engine, so a solution can hand it to the next QP.
@@ -297,9 +309,10 @@ class _KktFactor:
         self.A = poly.A
         self.rows = np.asarray(rows, dtype=int)
         self.base_free = np.asarray(base_free, dtype=int)
-        self.pos = {int(j): i for i, j in enumerate(self.base_free)}
         nb, mr = len(self.base_free), len(self.rows)
         self.nb, self.mr, self.N0 = nb, mr, nb + mr
+        self._pos = np.full(poly.n, -1)
+        self._pos[self.base_free] = np.arange(nb)
         K0 = np.zeros((self.N0, self.N0))
         K0[:nb, :nb] = quad.block(self.base_free, self.base_free)
         Afb = self.A[np.ix_(self.rows, self.base_free)]
@@ -307,53 +320,50 @@ class _KktFactor:
         K0[nb:, :nb] = Afb
         self.K0 = K0
         self.lu = _lu(K0, 1e-14, "base KKT matrix") if self.N0 else None
-        self.border: list[tuple[str, int]] = []
+        self.k = 0
         self._bt = np.zeros((4, self.N0))
         self._yt = np.zeros((4, self.N0))
         self._c = np.zeros((4, 4))
         self._s = np.zeros((4, 4))
-        self._var = np.concatenate([self.base_free, np.zeros(4, dtype=int)])
-        self._live = np.arange(nb + 4) < nb
+        self._var = np.concatenate([self.base_free, np.full(mr + 4, -1)])
+        self._live = np.arange(self.N0 + 4) < nb
         self._s_lu = None
         self.updates = 0
         self.needs_refactor = False
 
     @property
     def B(self) -> np.ndarray:
-        return self._bt[: len(self.border)].T
+        return self._bt[: self.k].T
 
     @property
     def Y(self) -> np.ndarray:
-        return self._yt[: len(self.border)].T
+        return self._yt[: self.k].T
 
     @property
     def C(self) -> np.ndarray:
-        k = len(self.border)
-        return self._c[:k, :k]
+        return self._c[: self.k, : self.k]
 
     @property
     def S(self) -> np.ndarray:
-        k = len(self.border)
-        return self._s[:k, :k]
+        return self._s[: self.k, : self.k]
 
     def free_vars(self) -> np.ndarray:
         """The free set, in the order of the unknowns ``free_step`` solves
         for: the base variables no fix entry pins, then the freed ones."""
-        k = self.nb + len(self.border)
-        return self._var[:k][self._live[:k]]
+        n = self.N0 + self.k
+        return self._var[:n][self._live[:n]]
 
     def copy(self) -> "_KktFactor":
         """A copy with its own border arrays, trimmed to the live entries
         (at least the initial four rows), so a QP that adopts a factor and
-        takes no pivot copies no spare rows; the base LU, never written
-        after construction, is shared."""
+        takes no pivot copies no spare rows; the base LU and ``_pos``, never
+        written after construction, are shared."""
         c = copy.copy(self)
-        c.border = list(self.border)
-        n = max(len(self.border), 4)
+        n = max(self.k, 4)
         c._bt, c._yt = self._bt[:n].copy(), self._yt[:n].copy()
         c._c, c._s = self._c[:n, :n].copy(), self._s[:n, :n].copy()
-        c._var = self._var[: self.nb + n].copy()
-        c._live = self._live[: self.nb + n].copy()
+        c._var = self._var[: self.N0 + n].copy()
+        c._live = self._live[: self.N0 + n].copy()
         return c
 
     def serves(self, poly, quad, pinned, free_mask) -> bool:
@@ -378,102 +388,106 @@ class _KktFactor:
         if self.updates >= MAX_UPDATES:
             self.needs_refactor = True
 
-    def _append(self, kind, j, col, cross, diag):
-        """Add border entry k = (kind, j) with B column ``col``, C row
+    def _append(self, j, col, cross, diag):
+        """Add border entry k for variable j, with B column ``col``, C row
         ``cross`` and C diagonal ``diag``; S gains row and column k in
         O(N0 k).  The two are formed apart, as ``C - B'Y`` forms them, so S
         keeps the round-off asymmetry a from-scratch product would have."""
         y = self._k0_solve(col)
         if _inf(y) > GROWTH_LIMIT:
             self.needs_refactor = True
-        k = len(self.border)
-        if k == len(self._c):  # full: double the spare rows
-            self._bt, self._yt = (_zero_padded(a, (2 * k, self.N0))
-                                  for a in (self._bt, self._yt))
-            self._c, self._s = (_zero_padded(a, (2 * k, 2 * k))
-                                for a in (self._c, self._s))
-            self._var = np.concatenate([self._var, np.zeros(k, dtype=int)])
-            self._live = np.concatenate([self._live, np.zeros(k, dtype=bool)])
+        k, at = self.k, self.N0 + self.k
+        if k == len(self._c):  # full: k more spare rows, k more columns of C, S
+            arrays = (self._bt, self._yt, self._c, self._s, self._var, self._live)
+            self._bt, self._yt, c, s, self._var, self._live = (
+                np.concatenate([a, np.zeros_like(a[:k])]) for a in arrays)
+            self._c, self._s = (np.hstack([a, np.zeros_like(a)]) for a in (c, s))
         self._bt[k], self._yt[k] = col, y
         self._c[:k, k] = self._c[k, :k] = cross
         self._c[k, k] = diag
         self._s[:k, k] = cross - self._bt[:k] @ y
         self._s[k, :k] = cross - self._yt[:k] @ col
         self._s[k, k] = diag - col @ y
-        self._var[self.nb + k] = j
-        self._live[self.nb + k] = kind == "free"
-        if kind == "fix":
-            self._live[self.pos[j]] = False
-        self.border.append((kind, j))
+        base = int(self._pos[j])
+        self._var[at] = j
+        self._live[at] = base < 0
+        if base >= 0:
+            self._live[base] = False
+        self.k += 1
         self._mark_update()
 
-    def _remove(self, idx: int):
-        """Delete border entry idx: its row of B', Y', and its row and
-        column of C and S, shifting the later entries up in place."""
-        k = len(self.border)
-        kind, j = self.border.pop(idx)
+    def _remove(self, j: int):
+        """Delete variable j's border entry: its row of B', Y', its row and
+        column of C and S and its slot, shifting the later entries up in
+        place."""
+        k, base = self.k, int(self._pos[j])
+        idx = self._var[self.N0:self.N0 + k].tolist().index(j)
+        at = self.N0 + idx
         for a in (self._bt, self._yt, self._c, self._s):
             a[idx:k - 1] = a[idx + 1:k]
         for a in (self._c, self._s):
             a[:k - 1, idx:k - 1] = a[:k - 1, idx + 1:k]
-        at = self.nb + idx
         for a in (self._var, self._live):
-            a[at:self.nb + k - 1] = a[at + 1:self.nb + k]
-        if kind == "fix":
-            self._live[self.pos[j]] = True
+            a[at:self.N0 + k - 1] = a[at + 1:self.N0 + k]
+        if base >= 0:
+            self._live[base] = True
+        self.k -= 1
         self._mark_update()
 
     def fix(self, j: int):
         """Pin variable j (currently free) at its bound: a base variable
         gains a fix entry, a freed one loses its free entry."""
         j = int(j)
-        if j not in self.pos:
-            self._remove(self.border.index(("free", j)))
+        if self._pos[j] < 0:
+            self._remove(j)
             return
         col = np.zeros(self.N0)
-        col[self.pos[j]] = 1.0
-        cross = np.zeros(len(self.border))  # unit rows never touch border vars
-        self._append("fix", j, col, cross, 0.0)
+        col[self._pos[j]] = 1.0
+        cross = np.zeros(self.k)  # unit rows never touch border vars
+        self._append(j, col, cross, 0.0)
 
     def free(self, j: int):
         """Release variable j (currently fixed) into the free set: a base
         variable loses its fix entry, another one gains a free entry."""
         j = int(j)
-        if j in self.pos:
-            self._remove(self.border.index(("fix", j)))
+        if self._pos[j] >= 0:
+            self._remove(j)
             return
-        nb, k = self.nb, len(self.border)
-        live = self._live[nb:nb + k]
-        idx = np.concatenate([self.base_free, self._var[nb:nb + k][live], [j]])
+        nb, N0, k = self.nb, self.N0, self.k
+        live = self._live[N0:N0 + k]
+        idx = np.concatenate([self.base_free, self._var[N0:N0 + k][live], [j]])
         h = self.quad.column(idx, j)  # Q[idx, j]
-        col = np.zeros(self.N0)
-        col[: self.nb] = h[: self.nb]
+        col = np.zeros(N0)
+        col[:nb] = h[:nb]
         if self.mr:
-            col[self.nb:] = self.A[self.rows, j]
+            col[nb:] = self.A[self.rows, j]
         cross = np.zeros(k)  # a fix entry's unit row is 0 at j
-        cross[live] = h[self.nb:-1]
-        self._append("free", j, col, cross, float(h[-1]))
+        cross[live] = h[nb:-1]
+        self._append(j, col, cross, float(h[-1]))
 
-    def solve(self, rhs0, rhsb):
-        """Solve the bordered system [[K0, B], [B', C]] [z; w] = [rhs0; rhsb],
-        raising ``SingularKktError`` when the solution's residual is too large."""
-        z = self._k0_solve(rhs0)
-        k = len(self.border)
-        tol = 1e-7 * (1.0 + _inf(np.concatenate([rhs0, rhsb])))
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve the bordered system [[K0, B], [B', C]] u = rhs, with rhs and
+        u in the order of the unknowns, raising ``SingularKktError`` when
+        the solution's residual is too large."""
+        N0, k = self.N0, self.k
+        r0, rb = rhs[:N0], rhs[N0:]
+        z = self._k0_solve(r0)
+        tol = 1e-7 * (1.0 + _inf(rhs))
         if k:
             bt, yt = self._bt[:k], self._yt[:k]
             if self._s_lu is None:
                 self._s_lu = _lu(self._s[:k, :k], 1e-13, "border Schur complement")
-            w = _lu_solve(self._s_lu, rhsb - yt @ rhs0)
+            w = _lu_solve(self._s_lu, rb - yt @ r0)
             z = z - yt.T @ w
-            resid = np.concatenate([self.K0 @ z - rhs0 + bt.T @ w,
-                                    bt @ z + self._c[:k, :k] @ w - rhsb])
+            resid = np.concatenate([self.K0 @ z - r0 + bt.T @ w,
+                                    bt @ z + self._c[:k, :k] @ w - rb])
+            u = np.concatenate([z, w])
         else:
-            w, resid = rhsb, self.K0 @ z - rhs0
+            u, resid = z, self.K0 @ z - r0
         # written so that a NaN residual fails the check
         if not _inf(resid) <= tol:
             raise SingularKktError("bordered solve residual too large")
-        return z, w
+        return u
 
     def free_step(self, d: np.ndarray, sigma: float,
                   eq_resid: np.ndarray | None = None
@@ -487,17 +501,17 @@ class _KktFactor:
         on F, and at the base variables fix entries pin, where d only moves
         the pinning entry's own multiplier, so any finite value serves.
         """
-        nb, k = self.nb, len(self.border)
-        var, live = self._var[:nb + k], self._live[:nb + k]
-        g = d[var] / -sigma
-        rhs0 = np.zeros(self.N0)
-        rhs0[:nb] = g[:nb]
+        nb, N0, n = self.nb, self.N0, self.N0 + self.k
+        var, live = self._var[:n], self._live[:n]
+        reads_d = live | (np.arange(n) < nb)
+        rhs = np.zeros(n)
+        rhs[reads_d] = d[var[reads_d]] / -sigma
         if eq_resid is not None:
-            rhs0[nb:] = eq_resid[self.rows]
-        z, w = self.solve(rhs0, np.where(live[nb:], g[nb:], 0.0))
+            rhs[nb:N0] = eq_resid[self.rows]
+        u = self.solve(rhs)
         lam = np.zeros(self.A.shape[0])
-        lam[self.rows] = -sigma * z[nb:]
-        return var[live], np.concatenate([z[:nb], w])[live], lam
+        lam[self.rows] = -sigma * u[nb:N0]
+        return var[live], u[live], lam
 
     def step(self, d: np.ndarray, sigma: float,
              eq_resid: np.ndarray | None = None
@@ -607,34 +621,34 @@ class ActiveSetEngine:
         if self._rows_cache is not None:
             return self._rows_cache
         live = np.flatnonzero(~self.pinned)
-        M = self.A[:, live]
         scale = 1.0 + _inf(self.poly.b) + _inf(self.A)
-        rank, piv = _qr_rank(M.T)
-        kept = np.sort(piv[:rank])
-        dropped = np.sort(piv[rank:])
+        rank, qr, _, piv = _qr_rank(self.A[:, live].T)
+        kept, dropped = piv[:rank], piv[rank:]
         if dropped.size:
-            # each dropped row minus its combination of kept rows has support
-            # only on pinned columns, so consistency is decided by x now
-            alpha, *_ = np.linalg.lstsq(M[kept].T, M[dropped].T, rcond=None)
+            # on the live columns the dropped rows are the kept rows times
+            # alpha = R11^-1 R12, so each dropped row minus its combination
+            # has support only on pinned columns: x decides consistency now
+            alpha = scipy.linalg.solve_triangular(
+                qr[:rank, :rank], qr[:rank, rank:], check_finite=False)
             lhs = (self.A[dropped] - alpha.T @ self.A[kept]) @ self.x
             rhs = self.poly.b[dropped] - alpha.T @ self.poly.b[kept]
             if _inf(lhs - rhs) > 1e-7 * scale:
                 raise InfeasibleError(
                     "equality rows implied by fixed variables are violated"
                 )
-        self._rows_cache = kept
-        return kept
+        self._rows_cache = np.sort(kept)
+        return self._rows_cache
 
     def _ensure_row_rank(self, rows: np.ndarray):
         """Free additional variables until A[rows, free] has full row rank.
 
-        One pivoted QR without Q decides the rank; only a deficient block
-        is factored again, with Q, for the basis of its column span."""
+        One pivoted QR decides the rank; only for a deficient block is its
+        Q formed, whose leading columns span the block's columns."""
         M = self.A[np.ix_(rows, self._free_idx())]
-        rank, _ = _qr_rank(M)
+        rank, qr, tau, _ = _qr_rank(M)
         if rank == rows.size:
             return
-        U = scipy.linalg.qr(M, mode="economic", pivoting=True)[0][:, :rank]
+        U = _qr_q(qr, tau)[:, :rank]
         candidates = np.flatnonzero((self.status != BASIC) & ~self.pinned)
         while rank < rows.size:
             if candidates.size == 0:
@@ -845,29 +859,34 @@ class ActiveSetEngine:
     def _dual_loop(self) -> bool:
         """Factor the warm basis, then fix the free variable that violates
         its bound most until the equality-restoring step lands inside the
-        bounds.  Returns whether it did so within the pivot cap."""
-        self._build_factor()
-        for _ in range(self.pivot_cap + 1):
-            self._form_gradient()
-            resid = self.poly.b - self.A @ self.x
-            p, _ = self.factor.step(self.d, self.sigma, resid)
-            xn = self.x + p
-            free = self._free_idx()
-            ftol = FEAS_TOL * (1.0 + _inf(xn))
-            # lower-bound violations come first, so a tie fixes the variable
-            # at its lower bound; the closing ftol stands for "none", which
-            # keeps argmax defined on an empty free set
-            viol = np.concatenate([self.lower[free] - xn[free],
-                                   xn[free] - self.upper[free], [ftol]])
-            k = int(np.argmax(viol))
-            self.x = xn
-            if viol[k] <= ftol:
-                np.clip(self.x, self.lower, self.upper, out=self.x)
-                return True
-            worst = int(free[k % free.size])
-            worst_side = AT_LOWER if k < free.size else AT_UPPER
-            self._fix_var(worst, worst_side)
-            self._count_pivot(("dfix", worst, int(worst_side)), 1.0)
+        bounds.  Returns whether it did so within the pivot cap; a KKT
+        system found singular ends it too, and Phase-1 then builds a fresh
+        factor."""
+        try:
+            self._build_factor()
+            for _ in range(self.pivot_cap + 1):
+                self._form_gradient()
+                resid = self.poly.b - self.A @ self.x
+                p, _ = self.factor.step(self.d, self.sigma, resid)
+                xn = self.x + p
+                free = self._free_idx()
+                ftol = FEAS_TOL * (1.0 + _inf(xn))
+                # lower-bound violations come first, so a tie fixes the
+                # variable at its lower bound; the closing ftol stands for
+                # "none", which keeps argmax defined on an empty free set
+                viol = np.concatenate([self.lower[free] - xn[free],
+                                       xn[free] - self.upper[free], [ftol]])
+                k = int(np.argmax(viol))
+                self.x = xn
+                if viol[k] <= ftol:
+                    np.clip(self.x, self.lower, self.upper, out=self.x)
+                    return True
+                worst = int(free[k % free.size])
+                worst_side = AT_LOWER if k < free.size else AT_UPPER
+                self._fix_var(worst, worst_side)
+                self._count_pivot(("dfix", worst, int(worst_side)), 1.0)
+        except SingularKktError:
+            pass
         return False
 
     # ------------------------------------------------------------------
@@ -917,12 +936,9 @@ class ActiveSetEngine:
         self._normalize_basis(warm, warm_x)
         self._handed = warm.factor if warm is not None else None
         try:
-            try:
-                if not (mode == StartMode.DUAL_START and warm is not None
-                        and self._dual_loop()):
-                    self._phase1()
-            except SingularKktError:
-                self._phase1()  # builds a fresh factor
+            if not (mode == StartMode.DUAL_START and warm is not None
+                    and self._dual_loop()):
+                self._phase1()
             state, resumed_at = None, None
             while state is None:
                 try:

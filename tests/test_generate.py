@@ -163,6 +163,45 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="instance file .*finite"):
             load_instance(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("A", [-1, 0, 1.0], "outside"),
+        ("A", [0, -1, 1.0], "outside"),
+        ("A", [1, 0, 1.0], "outside"),  # m = 1
+        ("A", [0, 10, 1.0], "outside"),  # n = 10
+        ("A", [0.7, 1.9, 1.0], "row index must be an integral number"),
+        ("A", ["0", "2", "3"], "row index must be an integral number"),
+        ("A", [0, True, 1.0], "column index must be an integral number"),
+        ("A", [0, 0, "3"], "not a number"),
+        ("integer_vars", [1.5], "integer variable must be an integral number"),
+        ("n", 5.7, "n must be an integral number"),
+        ("m", "1", "m must be an integral number"),
+        ("n", True, "n must be an integral number"),
+        ("n", 10.0, None),
+        ("A", [0.0, 0.0, 1], None),
+    ])
+    def test_indices_must_be_integral_and_in_range(self, tmp_path, field,
+                                                   value, message):
+        # the first A entry is replaced, or the whole field
+        inst = gen_cardinality(GenSpec(family="cardinality", n=10, r=2,
+                                       alpha=0.5, omega=1.0, seed=0,
+                                       discrete=True))
+        path = tmp_path / "index.json"
+        save_instance(inst, path)
+        doc = json.loads(path.read_text())
+        assert doc["A"][0][:2] == [0, 0] and doc["m"] == 1
+        if field == "A":
+            doc["A"][0] = value
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        if message is None:  # an integral float passes
+            back = load_instance(path)
+            np.testing.assert_array_equal(back.poly.A, inst.poly.A)
+            assert back.n == inst.n
+            return
+        with pytest.raises(ValueError, match=f"instance file .*{message}"):
+            load_instance(path)
+
     def test_version_mismatch_rejected(self, tmp_path):
         inst = gen_cardinality(GenSpec(family="cardinality", n=10, r=2,
                                        alpha=0.5, omega=1.0, seed=0))

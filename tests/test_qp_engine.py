@@ -40,6 +40,7 @@ from conicqp.qp import (
     _lu,
     _lu_solve,
     _pivoted_qr,
+    _qr_q,
     _qr_rank,
     _signs,
     scale_ray,
@@ -143,34 +144,53 @@ class TestInputChecks:
 
 
 class TestAllPinned:
-    """Every variable pinned (lower == upper): no live column spans a row."""
+    """Rows implied once the pinned (lower == upper) variables are
+    substituted.  With every variable pinned no live column spans a row
+    (rank 0); with one pinned beside two live ones, the second row repeats
+    the first on the live columns and is dropped (rank 1)."""
+
+    # per case: (A, lower, upper, linear), a consistent b, an inconsistent
+    # b, the optimum under the consistent b and the number of rows kept
+    CASES = [
+        # x0 - x1 = 0 fails at the pinned point
+        (([[1.0, 1.0], [1.0, -1.0]], [0.25, 0.75], [0.25, 0.75], [1.0, -2.0]),
+         [1.0, -0.5], [1.0, 0.0], [0.25, 0.75], 0),
+        # x1 + x2 = 0.5 fails x0 + x1 + x2 = 1.25 at x0 = 0.25
+        (([[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], [0.25, 0.0, 0.0],
+          [0.25, 1.0, 1.0], [1.0, 0.0, 0.0]),
+         [1.25, 1.0], [1.25, 0.5], [0.25, 0.5, 0.5], 1),
+    ]
 
     @staticmethod
-    def _problem(b):
-        poly = Polyhedron(A=[[1.0, 1.0], [1.0, -1.0]], b=b, lower=[0.25, 0.75],
-                          upper=[0.25, 0.75])
-        return QpProblem(linear=np.array([1.0, -2.0]), quad=identity_form(2),
+    def _problem(data, b):
+        A, lower, upper, linear = data
+        poly = Polyhedron(A=A, b=b, lower=lower, upper=upper)
+        return QpProblem(linear=np.array(linear), quad=identity_form(len(linear)),
                          sigma=1.0, offset=0.0, poly=poly)
 
     def test_consistent_rows_optimal_at_the_pinned_point(self, monkeypatch):
         kept = []
         spy(monkeypatch, "_kept_rows", lambda eng, rows: kept.append(rows.size))
-        p = self._problem([1.0, -0.5])
-        s = solve_qp(p)
-        assert s.status == QpStatus.OPTIMAL
-        np.testing.assert_array_equal(s.x, [0.25, 0.75])
-        assert kept == [0]  # both rows implied by the pins and dropped
-        assert stationarity(p, s) == 0.0
+        for data, good, _, optimum, n_kept in self.CASES:
+            kept.clear()
+            p = self._problem(data, good)
+            s = solve_qp(p)
+            assert s.status == QpStatus.OPTIMAL
+            np.testing.assert_array_equal(s.x, optimum)
+            assert kept == [n_kept]  # the rows implied by the pins are dropped
+            assert stationarity(p, s) == 0.0
 
     def test_inconsistent_rows_under_a_dual_start_are_infeasible(
             self, monkeypatch):
-        warm = solve_qp(self._problem([1.0, -0.5]))
+        warms = [solve_qp(self._problem(data, good))
+                 for data, good, *_ in self.CASES]
         starts = []
         spy(monkeypatch, "_phase1", lambda eng, _: starts.append(1))
-        # x0 - x1 = 0 fails at the pinned point: the row analysis finds it
-        s = solve_qp(self._problem([1.0, 0.0]), warm=warm.basis,
-                     mode=StartMode.DUAL_START, warm_x=warm.x)
-        assert s.status == QpStatus.INFEASIBLE
+        for (data, _, bad, *_), warm in zip(self.CASES, warms):
+            # the row analysis finds the inconsistent row
+            s = solve_qp(self._problem(data, bad), warm=warm.basis,
+                         mode=StartMode.DUAL_START, warm_x=warm.x)
+            assert s.status == QpStatus.INFEASIBLE
         assert starts == []
 
 
@@ -376,7 +396,7 @@ class TestFactorHandover:
         p = random_problem(rng, n=10, m=3, sigma=1.0)
         sol = solve_qp(p)
         fac = sol.basis.factor
-        assert fac is not None and fac.border  # bordered, not just a base LU
+        assert fac is not None and fac.k  # bordered, not just a base LU
         free = np.flatnonzero(sol.basis.status == BASIC)
         rows, nf = fac.rows, free.size
         A_F = p.poly.A[np.ix_(rows, free)]
@@ -693,16 +713,15 @@ class TestBorderSchurComplement:
 
     @staticmethod
     def check(fac, rng):
-        k = len(fac.border)
         fresh = fac.C - fac.B.T @ fac.Y
         np.testing.assert_allclose(fac.S, fresh, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(fresh).max(
                                        initial=0.0)))
-        r0, rb = rng.normal(size=fac.N0), rng.normal(size=k)
-        z, w = fac.solve(r0, rb)
+        rhs = rng.normal(size=fac.N0 + fac.k)
+        got = fac.solve(rhs)
         K = np.block([[fac.K0, fac.B], [fac.B.T, fac.C]])
-        ref = np.linalg.solve(K, np.concatenate([r0, rb]))
-        np.testing.assert_allclose(np.concatenate([z, w]), ref, rtol=1e-9,
+        ref = np.linalg.solve(K, rhs)
+        np.testing.assert_allclose(got, ref, rtol=1e-9,
                                    atol=1e-9 * np.abs(ref).max())
 
     def test_kept_up_to_date_through_fix_and_free(self):
@@ -718,12 +737,12 @@ class TestBorderSchurComplement:
             j = int(rng.integers(p.poly.n))
             if free[j] and free.sum() <= 8:
                 continue
-            undone = ("free" if free[j] else "fix", j)  # entry it would undo
-            if undone in fac.border:
-                middle += fac.border.index(undone) < len(fac.border) - 1
+            # an entry of j, the one toggling j undoes, before the last
+            # entry (each entry's variable is its slot of _var)
+            middle += j in fac._var[fac.N0:fac.N0 + fac.k - 1]
             (fac.fix if free[j] else fac.free)(j)
             free[j] = not free[j]
-            peak = max(peak, len(fac.border))
+            peak = max(peak, fac.k)
             self.check(fac, rng)
         assert middle and peak > 2 * start_cap
 
@@ -734,7 +753,7 @@ class TestBorderSchurComplement:
                          np.arange(2), np.arange(20))
         for j in (3, 25, 7):
             (fac.fix if j < 20 else fac.free)(j)
-        assert len(fac.border) < len(fac._s)  # a spare row is left
+        assert fac.k < len(fac._s)  # a spare row is left
         before = self.border_arrays(fac)
         twin = fac.copy()
         twin.free(21)  # appends in the spare row of the arrays
@@ -758,7 +777,7 @@ class TestBorderSchurComplement:
             fac.free(j)
             if len(fac._c) == cap:
                 continue
-            k = len(fac.border) - 1  # the entry written after the growth
+            k = fac.k - 1  # the entry written after the growth
             assert fac._bt.shape == fac._yt.shape == (2 * cap, fac.N0)
             assert fac._c.shape == fac._s.shape == (2 * cap, 2 * cap)
             for got, old in zip(self.border_arrays(fac), before):
@@ -773,9 +792,9 @@ class TestBorderSchurComplement:
         p = random_problem(np.random.default_rng(16), n=3, m=0, sigma=1.0)
         fac = _KktFactor(p.poly, p.quad, np.zeros(3, dtype=bool),
                          np.arange(0), np.arange(3))
-        assert fac.N0 == 3 and not fac.border
+        assert fac.N0 == 3 and not fac.k
         with pytest.raises(SingularKktError, match="residual"):
-            fac.solve(np.array([np.inf, 0.0, 0.0]), np.zeros(0))
+            fac.solve(np.array([np.inf, 0.0, 0.0]))
 
     def test_rejected_s_is_singular_from_scratch(self, monkeypatch):
         # under solve_bisection the Schur LU's pivot test rejects S on this
@@ -806,11 +825,14 @@ class TestBorderSchurComplement:
 
 
 class TestLapackKernels:
-    """``_lu``, ``_lu_solve`` and ``_pivoted_qr`` call LAPACK directly; they
-    must return what SciPy's ``lu_factor``, ``lu_solve`` and pivoted ``qr``
-    return, bit for bit."""
+    """``_lu``, ``_lu_solve``, ``_pivoted_qr`` and ``_qr_q`` call LAPACK
+    directly; they must return what SciPy's ``lu_factor``, ``lu_solve`` and
+    pivoted ``qr`` return, bit for bit."""
 
-    def test_pivoted_qr_bit_identical_to_scipy(self):
+    @staticmethod
+    def qr_inputs():
+        """20 shapes, rank-deficient, each contiguous, strided, and
+        Fortran-ordered as the transposes that _kept_rows passes."""
         rng = np.random.default_rng(17)
         shapes = [(1, 1), (1, 25), (25, 1), (2, 3), (3, 2), (5, 5), (7, 30),
                   (30, 7), (12, 12), (40, 90), (90, 40), (64, 65), (120, 31),
@@ -818,23 +840,33 @@ class TestLapackKernels:
                   (480, 255), (3, 400)]
         for m, n in shapes:
             big = rng.normal(size=(2 * m, 2 * n))
-            big[:, 1::3] = big[:, ::3][:, : big[:, 1::3].shape[1]]  # rank-deficient
-            # contiguous, strided, and Fortran-ordered as the transposes
-            # that _kept_rows passes
-            for M in (big[m:, n:].copy(), big[::2, ::2],
-                      np.asfortranarray(big[:m, :n])):
-                before = M.copy()
-                qr, piv = _pivoted_qr(M)
-                r, ref = scipy.linalg.qr(M, mode="r", pivoting=True)
-                np.testing.assert_array_equal(np.triu(qr), r)
-                np.testing.assert_array_equal(piv, ref)
-                assert np.array_equal(M, before)  # factored in a copy
+            big[:, 1::3] = big[:, ::3][:, : big[:, 1::3].shape[1]]
+            yield from (big[m:, n:].copy(), big[::2, ::2],
+                        np.asfortranarray(big[:m, :n]))
+
+    def test_pivoted_qr_bit_identical_to_scipy(self):
+        for M in self.qr_inputs():
+            before = M.copy()
+            qr, tau, piv = _pivoted_qr(M)
+            r, ref = scipy.linalg.qr(M, mode="r", pivoting=True)
+            np.testing.assert_array_equal(np.triu(qr), r)
+            np.testing.assert_array_equal(piv, ref)
+            assert tau.shape == (min(M.shape),)
+            assert np.array_equal(M, before)  # factored in a copy
+
+    def test_q_bit_identical_to_scipy(self):
+        for M in self.qr_inputs():
+            qr, tau, _ = _pivoted_qr(M)
+            ref = scipy.linalg.qr(M, mode="economic", pivoting=True)[0]
+            np.testing.assert_array_equal(_qr_q(qr, tau), ref)
 
     def test_qr_rank_of_empty_matrix(self):
         for shape in ((0, 3), (4, 0), (0, 0)):
-            rank, piv = _qr_rank(np.zeros(shape))
-            assert rank == 0
+            M = np.zeros(shape)
+            rank, qr, tau, piv = _qr_rank(M)
+            assert rank == 0 and qr is M and tau.size == 0
             np.testing.assert_array_equal(piv, np.arange(shape[1]))
+            assert _qr_q(qr, tau).shape == (shape[0], 0)
 
     def test_exactly_singular_raises_without_warning(self):
         M = np.random.default_rng(14).normal(size=(6, 6))
@@ -933,6 +965,23 @@ class TestRecoveryPaths:
         res = solve_cd(inst)
         assert ("singular", "done") in zip(events, events[1:])
         assert_certified(inst, res)
+
+    def test_singular_phase1_build_raises_at_once(self, monkeypatch):
+        # bad-input corpus cd 48: Phase-1's first factor build finds the
+        # base KKT matrix singular, and a second build would find it again
+        calls = []
+        real = ActiveSetEngine._phase1
+
+        def phase1(eng):
+            calls.append(1)
+            real(eng)
+
+        monkeypatch.setattr(ActiveSetEngine, "_phase1", phase1)
+        inst = bad_instance(seed=1649, rows="grid", pins=0, extra="dependent",
+                            d_scale=0.0, costs="tied", omega=1e-6)
+        with pytest.raises(SingularKktError, match="base KKT matrix is singular"):
+            solve_cd(inst)
+        assert calls == [1]
 
     def test_dependent_rows_dropped_up_front(self, monkeypatch):
         inst = gen_cardinality(GenSpec(family="cardinality", n=30, r=5,
