@@ -287,9 +287,11 @@ def _cardinality_supports(inst: ConicInstance) -> int | None:
 def enumeration_oracle(inst: ConicInstance) -> tuple[np.ndarray, float]:
     """Brute-force optimum of a small binary instance by direct evaluation.
 
-    Handles the cardinality polytope (all supports of size b), grid path
-    polytopes (all monotone source-to-sink paths), and as a fallback any
-    binary instance with at most 2^20 candidate points.
+    Handles the cardinality polytope (all supports of size b that the
+    variable bounds allow), grid path polytopes (all monotone source-to-sink
+    paths), and as a fallback any binary instance with at most 2^20
+    candidate points.  Raises ``InfeasibleError`` when no binary point is
+    feasible.
     """
     if not inst.integer_vars or len(inst.integer_vars) != inst.n:
         raise ValueError("enumeration oracle requires a fully binary instance")
@@ -304,11 +306,22 @@ def enumeration_oracle(inst: ConicInstance) -> tuple[np.ndarray, float]:
 
     b = _cardinality_supports(inst)
     if b is not None:
-        if math.comb(n, b) > 2 ** 20:
+        # a variable whose bounds exclude 1 stays out, one whose bounds
+        # exclude 0 is in, and the rest fill the support up to b
+        lo, up = inst.poly.lower, inst.poly.upper
+        no_one = (lo > 1.0 + 1e-9) | (up < 1.0 - 1e-9)
+        no_zero = (lo > 1e-9) | (up < -1e-9)
+        rest = np.flatnonzero(~no_one & ~no_zero).tolist()
+        k = b - int(np.count_nonzero(no_zero))
+        if np.any(no_one & no_zero) or not 0 <= k <= len(rest):
+            raise InfeasibleError("no binary point within the bounds has "
+                                  "the cardinality")
+        if math.comb(len(rest), k) > 2 ** 20:
             raise ValueError("instance too large to enumerate")
-        x = np.zeros(n)
-        for support in itertools.combinations(range(n), b):
-            x[:] = 0.0
+        base = no_zero.astype(float)
+        x = base.copy()
+        for support in itertools.combinations(rest, k):
+            x[:] = base
             x[list(support)] = 1.0
             consider(x)
         return best_x, best_obj

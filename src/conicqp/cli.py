@@ -145,7 +145,10 @@ def cmd_solve(args) -> int:
     print(f"time_s        {rec.time_s:.4f}")
     print(f"status        {res.status.value} ({res.stop_reason})")
     if args.reference is not None:
-        optgap = abs((args.reference - res.objective) / args.reference)
+        # floored as perfbench's gate floors the same relative gap, so a
+        # reference of 0 gives a gap
+        optgap = (abs(args.reference - res.objective)
+                  / max(abs(args.reference), 1e-10))
         print(f"optgap        {optgap:.3e}")
     if args.csv:
         _write_csv(args.csv, [rec])
@@ -283,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t0", default="lp", help="initial t, or 'lp'")
     s.add_argument("--csv")
     s.add_argument("--reference", type=float,
-                   help="reference objective for optgap")
+                   help="reference objective for optgap, "
+                        "|reference - objective| / max(|reference|, 1e-10)")
     s.set_defaults(func=cmd_solve)
 
     b = sub.add_parser("bnb", help="branch-and-bound on a discrete instance")

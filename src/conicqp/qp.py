@@ -45,10 +45,11 @@ reads the gradient on F only, costs O(N0^2 + N0 k + k^3); the zero-step
 test, the ratio test and the update of x, of the gradient on F and of the
 kept W'x cost O(|F| r); fixing or freeing a variable changes one border
 entry in O(N0^2 + N0 k), plus O(|F| r) for a freed variable's column of
-Q, and updates the pricing signs and max |x_j| over the fixed variables
-in O(1).  The only O(n) work is pricing, once per full or zero step: the
-reduced costs of all variables, ``_gradient`` from x and the kept W'x less
-A'lam, in one O(n (r + m)) pass.  Every 64 steps, and after each
+Q, and updates the pricing signs in O(1).  Two things cost O(n): |x|_inf,
+which scales the step and ratio tests, is one pass over x per pivot; and
+pricing, once per full or zero step, reads the reduced costs of all
+variables, ``_gradient`` from x and the kept W'x less A'lam, in one
+O(n (r + m)) pass.  Every 64 steps, and after each
 refactorization, W'x and the gradient are formed afresh from x.  Every
 product runs in NumPy's BLAS; SciPy's serves only the LAPACK calls.
 
@@ -549,7 +550,6 @@ class ActiveSetEngine:
         self.x = np.zeros(self.n)
         self.status = np.full(self.n, AT_LOWER, dtype=np.int8)
         self.factor: _KktFactor | None = None
-        self.pivots = 0
         self.pivot_log: list = []
         self.obj_trace: list = []
         self.used_phase1 = False
@@ -557,13 +557,11 @@ class ActiveSetEngine:
         self._handed: _KktFactor | None = None  # the warm basis's factor
         self._degen_streak = 0
         self._bland = False
-        self._rows_cache: np.ndarray | None = None
         # pivot state, kept up to date by each pivot: the pricing sign of
-        # every variable (see _signs), max |x_j| over the fixed variables and
-        # how many attain it, the gradient d (exact on the free set), W'x,
-        # and the steps taken since d and W'x were last formed from x
+        # every variable (see _signs), the gradient d (exact on the free
+        # set), W'x, and the steps taken since d and W'x were last formed
+        # from x
         self.sign = np.zeros(self.n)
-        self._xfix_inf, self._xfix_at = 0.0, 0
         self.d = np.zeros(self.n)
         self._wx = np.zeros(self.quad.r)
         self._steps = 0
@@ -616,10 +614,10 @@ class ActiveSetEngine:
         others on the non-pinned columns: duplicate or dependent rows, and
         rows implied once the pinned (lower == upper) variables are
         substituted.  They are verified for consistency and dropped with
-        zero multipliers.  Runs once per engine, on its first fresh build.
+        zero multipliers.  Runs when the engine has no factor yet; later
+        builds take the rows from the factor they replace, since the row
+        analysis depends on the polyhedron and the pinned set alone.
         """
-        if self._rows_cache is not None:
-            return self._rows_cache
         live = np.flatnonzero(~self.pinned)
         scale = 1.0 + _inf(self.poly.b) + _inf(self.A)
         rank, qr, _, piv = _qr_rank(self.A[:, live].T)
@@ -636,8 +634,7 @@ class ActiveSetEngine:
                 raise InfeasibleError(
                     "equality rows implied by fixed variables are violated"
                 )
-        self._rows_cache = np.sort(kept)
-        return self._rows_cache
+        return np.sort(kept)
 
     def _ensure_row_rank(self, rows: np.ndarray):
         """Free additional variables until A[rows, free] has full row rank.
@@ -673,33 +670,26 @@ class ActiveSetEngine:
 
         The first build of a solve adopts a copy of the warm basis's factor
         instead when that factor serves the free set; later builds are
-        refactorizations and always start from scratch.
+        refactorizations and always start from scratch, with the kept rows
+        of the factor they replace.
         """
         handed, self._handed = self._handed, None
         if handed is not None and handed.serves(self.poly, self.quad,
                                                 self.pinned,
                                                 self.status == BASIC):
             self.factor = handed.copy()
-            self._rows_cache = handed.rows  # row analysis depends on poly only
             self.factor_reused = True
         else:
-            rows = self._kept_rows()
+            rows = (self._kept_rows() if self.factor is None
+                    else self.factor.rows)
             self._ensure_row_rank(rows)
             self.factor = _KktFactor(self.poly, self.quad, self.pinned, rows,
                                      self._free_idx())
         self.sign = _signs(self.status, self.pinned)
-        self._fixed_max()
-
-    def _fixed_max(self):
-        """Form max |x_j| over the fixed variables, and how many attain it."""
-        ax = np.abs(self.x[self.status != BASIC])
-        self._xfix_inf = _max(ax) if ax.size else 0.0
-        self._xfix_at = int(np.count_nonzero(ax == self._xfix_inf))
 
     def _refactor(self):
         """A fresh factor; it may free more variables (``_ensure_row_rank``),
         so d is formed afresh too."""
-        self.factor = None
         self._build_factor()
         self._form_gradient()
 
@@ -707,11 +697,6 @@ class ActiveSetEngine:
         self.status[j] = side
         self.sign[j] = -1.0 if side == AT_LOWER else 1.0
         self.x[j] = self.lower[j] if side == AT_LOWER else self.upper[j]
-        xj = abs(float(self.x[j]))
-        if xj > self._xfix_inf:
-            self._xfix_inf, self._xfix_at = xj, 1
-        elif xj == self._xfix_inf:
-            self._xfix_at += 1
         self.factor.fix(j)
         if self.factor.needs_refactor:
             self._refactor()
@@ -722,10 +707,6 @@ class ActiveSetEngine:
         self.sign[j] = 0.0
         self.d[j] = self.g[j] + self.sigma * (self.quad.W[j] @ self._wx
                                               + self.quad.D[j] * self.x[j])
-        if abs(float(self.x[j])) == self._xfix_inf:
-            self._xfix_at -= 1
-            if not self._xfix_at:  # j held the max alone
-                self._fixed_max()
         self.factor.free(j)
         if self.factor.needs_refactor:
             self._refactor()
@@ -772,18 +753,19 @@ class ActiveSetEngine:
 
         A pivot costs O(|F| r) besides the direction solve: the step, the
         ratio test and the updates of x, W'x and d touch the free set F
-        alone.  Pricing reads the reduced costs of all variables, one
-        O(n (r + m)) pass per full or zero step."""
+        alone.  |x|_inf is one O(n) pass per pivot, and pricing reads the
+        reduced costs of all variables, one O(n (r + m)) pass per full or
+        zero step."""
         self._form_gradient()
         lam = np.zeros(self.m)
         while True:
-            if self.pivots >= self.pivot_cap:
+            if len(self.pivot_log) >= self.pivot_cap:
                 return QpStatus.ITER_LIMIT, lam
             free, pf, lam = self.factor.free_step(self.d, self.sigma)
             rate = np.abs(pf)
             p_inf = _max(rate) if rate.size else 0.0
             xf = self.x[free]
-            x_inf = max(_inf(xf), self._xfix_inf)
+            x_inf = _inf(self.x)
             # |p_F| within 64 ulps of the solve's right-hand side d_F / sigma
             # is round-off, not a step: at tiny sigma such noise blocked on
             # the variable just freed, and those two pivots cycled
@@ -840,7 +822,6 @@ class ActiveSetEngine:
         return j, int(self.status[j])
 
     def _count_pivot(self, entry, alpha: float):
-        self.pivots += 1
         self.pivot_log.append(entry)
         if self.track_objective:
             self.obj_trace.append(self.p.objective(self.x))
@@ -944,9 +925,9 @@ class ActiveSetEngine:
                 try:
                     state, lam = self._primal_loop()
                 except SingularKktError:
-                    if self.pivots == resumed_at:
+                    if len(self.pivot_log) == resumed_at:
                         raise  # no pivot since the last refactorization
-                    resumed_at = self.pivots
+                    resumed_at = len(self.pivot_log)
                     self._refactor()
         except InfeasibleError:
             return self._package(np.zeros(self.m), QpStatus.INFEASIBLE)
@@ -973,7 +954,7 @@ class ActiveSetEngine:
             x=self.x.copy(), lam=lam.copy(), mu_lower=mu_lower,
             mu_upper=mu_upper, objective=objective,
             basis=WorkingBasis(self.status.copy(), handover),
-            iterations=self.pivots, status=state,
+            iterations=len(self.pivot_log), status=state,
             used_phase1=self.used_phase1, factor_reused=self.factor_reused,
             pivot_log=list(self.pivot_log),
             objective_trace=list(self.obj_trace),

@@ -187,9 +187,9 @@ class _QpChain:
     The first QP starts from the given basis, point and mode (all None and
     PrimalStart for a cold start); every later one primal-starts from its
     predecessor's basis and point.  The chain counts the QPs and their
-    pivots and the fixed-point jumps tried and taken (``next_t``), holds the
-    driver's ``trace``, raises ``InfeasibleError`` carrying those counts, and
-    builds the run's result.
+    pivots and the fixed-point jumps taken (``next_t``); the jumps tried are
+    the working sets tried from.  It holds the driver's ``trace``, raises
+    ``InfeasibleError`` carrying those counts, and builds the run's result.
     """
 
     def __init__(self, inst: ConicInstance, basis: WorkingBasis | None = None,
@@ -200,7 +200,7 @@ class _QpChain:
         self.qp_pivots: list[int] = []
         self.trace: list[tuple[float, float]] = []
         self.first_qp_used_phase1 = False
-        self.jumps_tried = self.jumps_taken = 0
+        self.jumps_taken = 0
         self._rayed: set[bytes] = set()  # working sets a jump was tried from
 
     def solve(self, t: float) -> QpSolution:
@@ -215,7 +215,7 @@ class _QpChain:
             err.qp_count = len(self.qp_pivots)
             err.pivot_count = sum(self.qp_pivots)
             err.first_qp_used_phase1 = self.first_qp_used_phase1
-            err.jumps_tried, err.jumps_taken = self.jumps_tried, self.jumps_taken
+            err.jumps_tried, err.jumps_taken = len(self._rayed), self.jumps_taken
             raise err
         self._next = (sol.basis, sol.x, StartMode.PRIMAL_START)
         return sol
@@ -229,7 +229,6 @@ class _QpChain:
         if key in self._rayed:
             return t_next
         self._rayed.add(key)
-        self.jumps_tried += 1
         t_star = _fixed_point(self.inst, sol, t_i, t_next, delta)
         if t_star is None:
             return t_next
@@ -248,7 +247,7 @@ class _QpChain:
             trace=self.trace, status=status, stop_reason=stop_reason,
             qp_pivots=self.qp_pivots,
             first_qp_used_phase1=self.first_qp_used_phase1,
-            jumps_tried=self.jumps_tried, jumps_taken=self.jumps_taken,
+            jumps_tried=len(self._rayed), jumps_taken=self.jumps_taken,
             basis=_statuses(sol), **extra,
         )
 

@@ -13,6 +13,7 @@ from conicqp import (
     BnbOptions,
     BnbStatus,
     ConicInstance,
+    ConicSolveResult,
     InfeasibleError,
     Polyhedron,
     QuadraticForm,
@@ -136,6 +137,42 @@ class TestEnumerationOracle:
         # x0..x3 sum to 1.5: feasible for the relaxation, never for 0/1 values
         with pytest.raises(InfeasibleError):
             enumeration_oracle(self._two_row_instance([1.5, 1.0]))
+
+    @staticmethod
+    def _rebounded(inst, lower, upper):
+        return ConicInstance(c=inst.c, omega=inst.omega, q=inst.q,
+                             poly=Polyhedron(inst.poly.A, inst.poly.b,
+                                             lower, upper),
+                             integer_vars=inst.integer_vars)
+
+    @pytest.mark.parametrize("bound, j, value", [
+        ("upper", 6, 0.0),  # forces out a variable of the unbounded optimum
+        ("lower", 0, 1.0),  # forces in a variable outside it
+    ], ids=["forced-out", "forced-in"])
+    def test_cardinality_respects_bounds(self, bound, j, value):
+        inst = seeded_card(1, n=10, r=3)  # choose 2 of 10; optimum {6, 8}
+        lower, upper = inst.poly.lower.copy(), inst.poly.upper.copy()
+        (upper if bound == "upper" else lower)[j] = value
+        inst = self._rebounded(inst, lower, upper)
+        x, obj = enumeration_oracle(inst)
+        assert inst.poly.contains(x, tol=1e-9) and x[j] == value
+        best = math.inf
+        for s in itertools.combinations(range(10), 2):
+            v = np.zeros(10)
+            v[list(s)] = 1.0
+            if np.all(v >= lower) and np.all(v <= upper):
+                best = min(best, eval_objective(inst, v))
+        assert obj == best
+        res = solve_bnb(inst)
+        assert res.status in (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
+        assert abs(res.incumbent_obj - obj) <= 1e-4 * abs(obj)
+
+    def test_cardinality_without_binary_point(self):
+        inst = seeded_card(1, n=10, r=3)
+        lower = inst.poly.lower.copy()
+        lower[:3] = 1.0  # three forced in, two allowed
+        with pytest.raises(InfeasibleError):
+            enumeration_oracle(self._rebounded(inst, lower, inst.poly.upper))
 
     def test_non_binary_rejected(self):
         inst = gen_cardinality(GenSpec(family="cardinality", n=10, r=3,
@@ -356,6 +393,43 @@ class TestUncertifiedRelaxations:
         assert res.uncertified_nodes == 0
         assert res.status in (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
         assert abs(res.incumbent_obj - opt) <= 1e-4 * abs(opt)
+
+    def test_popped_node_at_the_incumbent_is_skipped(self, monkeypatch):
+        # scripted relaxations, keyed by the node's bounds on (x0, x1); an
+        # uncertified integral leaf holds the gap open at its bound 5, so
+        # the search is still running when the node x0 = x1 = 1, pushed
+        # with lb 5.8, leaves the heap after the incumbent fell to 5.5
+        ok, open_ = SolveStatus.OPTIMAL, SolveStatus.UNCERTIFIED
+        script = {
+            ((0, 1), (0, 1)): (0.0, [0.5, 0.5], ok),  # root
+            ((0, 0), (0, 1)): (5.0, [0.0, 0.5], ok),
+            ((0, 0), (0, 0)): (6.0, [0.0, 0.0], open_),  # incumbent 6
+            ((1, 1), (0, 1)): (5.8, [1.0, 0.5], ok),
+            ((1, 1), (0, 0)): (8.0, [1.0, 0.0], ok),  # pruned by bound
+            ((0, 0), (1, 1)): (5.5, [0.0, 1.0], ok),  # incumbent 5.5
+            ((1, 1), (1, 1)): (7.0, [1.0, 1.0], ok),  # skipped, lb 5.8
+        }
+        solved = []
+
+        def scripted(sub, opts, warm=None):
+            key = tuple((int(lo), int(hi)) for lo, hi
+                        in zip(sub.poly.lower, sub.poly.upper))
+            solved.append(key)
+            z, x, status = script[key]
+            return ConicSolveResult(x=np.array(x), t=1.0, objective=z,
+                                    kkt=None, qp_count=1, pivot_count=0,
+                                    trace=[], status=status)
+
+        monkeypatch.setattr(conicqp.bnb, "solve_cd", scripted)
+        q = QuadraticForm(F=np.zeros((2, 1)), sigma_factor=np.zeros((1, 1)),
+                          D=np.ones(2))
+        res = solve_bnb(card_instance(2, 1, np.zeros(2), q))
+        assert res.nodes_processed == len(solved) == 6
+        assert ((1, 1), (1, 1)) not in solved
+        assert res.status == BnbStatus.UNCERTIFIED
+        assert res.best_bound == 5.0
+        assert res.incumbent_obj == 5.5
+        np.testing.assert_array_equal(res.incumbent_x, [0.0, 1.0])
 
     def test_uncertified_status_never_prunes_or_bounds(self, monkeypatch):
         real = conicqp.bnb.solve_cd

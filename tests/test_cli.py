@@ -115,6 +115,22 @@ class TestSolve:
         gaps = [optgap(t) for t in ("1e-2", "1e-4", "1e-6")]
         assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
 
+    def test_zero_reference(self, tmp_path, capsys):
+        # the gap to a reference of 0 is floored like perfbench's relative
+        # gap, not a division by zero
+        inst = write_simplex_instance(tmp_path / "s.json")
+        out = tmp_path / "r.csv"
+        assert main(["solve", "--instance", str(inst), "--reference", "0",
+                     "--csv", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        obj = float(next(ln.split()[1] for ln in lines
+                         if ln.startswith("objective")))
+        gap = float(next(ln.split()[1] for ln in lines
+                         if ln.startswith("optgap")))
+        assert gap == pytest.approx(obj / 1e-10, rel=1e-3)
+        with out.open() as fh:
+            assert len(list(csv.reader(fh))) == 2
+
     def test_infeasible_exit_code(self, tmp_path):
         q = QuadraticForm(F=np.zeros((2, 1)), sigma_factor=np.zeros((1, 1)),
                           D=np.ones(2))

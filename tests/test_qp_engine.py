@@ -592,10 +592,9 @@ class TestZeroStepThreshold:
 
 class TestPivotState:
     """What the primal loop keeps from pivot to pivot instead of forming it
-    over all variables: the factor's free list, the pricing signs, max |x_j|
-    over the fixed variables and how many attain it, W'x and the gradient on
-    the free set.  After every primal pivot each must equal a fresh
-    recomputation."""
+    over all variables: the factor's free list, the pricing signs, W'x and
+    the gradient on the free set.  After every primal pivot each must equal
+    a fresh recomputation."""
 
     @staticmethod
     def checked(monkeypatch):
@@ -611,9 +610,6 @@ class TestPivotState:
             np.testing.assert_array_equal(np.sort(free),
                                           np.flatnonzero(eng.status == BASIC))
             np.testing.assert_array_equal(eng.sign, _signs(eng.status, eng.pinned))
-            ax = np.abs(eng.x[eng.status != BASIC])
-            assert eng._xfix_inf == ax.max(initial=0.0)
-            assert eng._xfix_at == np.count_nonzero(ax == eng._xfix_inf)
             W = eng.quad.W
             scale = (np.abs(W).T @ np.abs(eng.x)).max(initial=0.0)
             np.testing.assert_allclose(eng._wx, W.T @ eng.x, rtol=0,
@@ -918,6 +914,20 @@ def spy(monkeypatch, name, after):
 class TestRecoveryPaths:
     """Each recovery path the engine keeps runs on a named instance."""
 
+    @staticmethod
+    def row_analyses(monkeypatch):
+        """Spy on the row analysis: returns, per engine, how often it ran
+        ``_kept_rows``, and for each ``_refactor`` whether the new factor
+        kept the rows of the engine's first factor."""
+        calls, first, kept = {}, {}, []
+        spy(monkeypatch, "_kept_rows",
+            lambda eng, _: calls.__setitem__(eng, calls.get(eng, 0) + 1))
+        spy(monkeypatch, "_build_factor",
+            lambda eng, _: first.setdefault(eng, eng.factor.rows))
+        spy(monkeypatch, "_refactor", lambda eng, _: kept.append(
+            np.array_equal(eng.factor.rows, first[eng])))
+        return calls, kept
+
     def test_bland_mode(self, monkeypatch):
         modes = []
         spy(monkeypatch, "_count_pivot", lambda eng, _: modes.append(eng._bland))
@@ -938,11 +948,16 @@ class TestRecoveryPaths:
 
         monkeypatch.setattr(_KktFactor, "_append", appending)
         spy(monkeypatch, "_refactor", lambda eng, _: refactors.append(1))
+        calls, kept = self.row_analyses(monkeypatch)
         inst = bad_instance(seed=384, rows="card", pins=0, extra="duplicate",
                             d_scale=1e-10, costs="tied", omega=1e-6)
         res = solve_cd(inst)
         assert sum(triggers) > 0
         assert len(refactors) >= sum(triggers)
+        # the refactorizations take the kept rows from the factor they
+        # replace: the row analysis runs once per engine
+        assert set(calls.values()) == {1}
+        assert len(kept) == len(refactors) and all(kept)
         assert_certified(inst, res)
 
     def test_primal_loop_refactor_resumes(self, monkeypatch):
@@ -959,11 +974,14 @@ class TestRecoveryPaths:
             return out
 
         monkeypatch.setattr(ActiveSetEngine, "_primal_loop", looping)
+        calls, kept = self.row_analyses(monkeypatch)
         # bad-input corpus instance 91
         inst = bad_instance(seed=2801, rows="grid", pins=2, extra="dependent",
                             d_scale=1.0, costs="tied", omega=1e-6)
         res = solve_cd(inst)
         assert ("singular", "done") in zip(events, events[1:])
+        assert set(calls.values()) == {1}
+        assert kept and all(kept)
         assert_certified(inst, res)
 
     def test_singular_phase1_build_raises_at_once(self, monkeypatch):
