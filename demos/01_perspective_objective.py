@@ -9,7 +9,9 @@ quadratic: for t > 0,
     c'x + omega * sqrt(x'Qx)  =  min_t  c'x + (omega/2) * (x'Qx)/t + (omega/2) * t,
 
 with the minimum attained at t = sqrt(x'Qx).  For a fixed t the right-hand
-side is a plain convex QP, which is what the inner engine solves.
+side is a plain convex QP, which is what the inner engine solves.  Its
+t -> inf limit drops the quadratic: the LP relaxation min c'x, which HiGHS
+solves (``solve_lp``) and whose vertex starts the outer loops.
 """
 
 import math
@@ -22,6 +24,7 @@ from conicqp import (
     QuadraticForm,
     eval_h,
     eval_objective,
+    solve_lp,
     subproblem_objective,
 )
 
@@ -48,7 +51,11 @@ print("\nreformulated value      :", lhs)
 print("difference to the conic :", abs(lhs - eval_objective(inst, x)))
 
 # the fixed-t subproblem is a QP with curvature omega/t and offset omega*t/2
-for t_fixed in (0.5, 1.0, 2.0, math.inf):
+for t_fixed in (0.5, 1.0, 2.0):
     qp = subproblem_objective(inst, t_fixed)
-    label = "LP relaxation" if qp.sigma == 0 else "QP"
-    print(f"t = {t_fixed:<4}: sigma = {qp.sigma:.3f}, offset = {qp.offset:.3f}  ({label})")
+    print(f"t = {t_fixed:<4}: sigma = {qp.sigma:.3f}, offset = {qp.offset:.3f}  (QP)")
+
+# t -> inf leaves the LP relaxation, a cost and a polyhedron, not a QP
+lp = solve_lp(inst.c, inst.poly)
+print(f"t = inf : LP relaxation vertex {lp.x}, c'x = {lp.objective:.3f}, "
+      f"t_max = sqrt(x'Qx) = {math.sqrt(inst.q.quad(lp.x)):.3f}")

@@ -44,6 +44,10 @@ class BnbStatus(Enum):
     UNCERTIFIED = "Uncertified"  # uncertified relaxations hold the gap open
 
 
+# the statuses of a solved tree, as ``SOLVED`` lists a convex solve's
+BNB_SOLVED = (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
+
+
 @dataclass
 class BnbNode:
     """One subproblem: bound deltas from the root plus warm-start data."""

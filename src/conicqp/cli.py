@@ -19,7 +19,7 @@ import time
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
-from .bnb import BnbOptions, BnbStatus, solve_bnb
+from .bnb import BNB_SOLVED, BnbOptions, BnbStatus, solve_bnb
 from .generate import GenSpec, generate, load_instance, save_instance
 from .model import SOLVED, InfeasibleError, LpFailureError, SingularKktError
 from .solvers import BisectOptions, CdOptions, solve_bisection, solve_cd
@@ -74,7 +74,7 @@ def _write_csv(path: str, records: list[BenchRecord]):
 
 
 _METHODS = {"cd": solve_cd, "bisect": solve_bisection, "bnb-cd": solve_bnb}
-_SOLVED = SOLVED + (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
+_SOLVED = SOLVED + BNB_SOLVED
 
 
 def _record(inst, path, method: str, time_s: float, res=None) -> BenchRecord:

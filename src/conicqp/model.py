@@ -288,9 +288,9 @@ def eval_h(q: QuadraticForm, x: np.ndarray, t: float) -> float:
     """Closure of the perspective of x'Qx: x'Qx / t for t > 0.
 
     At t = 0 the value is 0 when x'Qx vanishes (within QZERO_TOL) and +inf
-    otherwise. Negative t is rejected.
+    otherwise. Negative and NaN t are rejected.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     xqx = q.quad(np.asarray(x, dtype=float).ravel())
     if t > 0:
@@ -303,16 +303,16 @@ def subproblem_objective(inst: ConicInstance, t: float):
 
     Returns a ``QpProblem`` with quadratic scale sigma = omega / t (the engine
     objective is linear'x + (sigma/2) x'Qx + offset) and offset (omega/2) t,
-    so the reported QP objective equals the value function g(t).  Passing
-    t = inf yields the pure LP relaxation (sigma = 0, offset dropped).
+    so the reported QP objective equals the value function g(t).  Requires
+    0 < t < inf; the t -> inf limit, the LP relaxation, is no QP and is
+    ``solve_lp(inst.c, inst.poly)``.  A t so small that omega / t overflows
+    is refused by ``QpProblem``'s check of sigma.
     """
     from .qp import QpProblem  # local import to avoid a cycle
 
-    if not t > 0:
-        raise ValueError("t must be positive (use t=inf for the LP relaxation)")
-    if math.isinf(t):
-        return QpProblem(linear=inst.c, quad=inst.q, sigma=0.0, offset=0.0,
-                         poly=inst.poly)
+    if not 0 < t < math.inf:
+        raise ValueError("t must be positive and finite "
+                         "(the LP relaxation is solve_lp(inst.c, inst.poly))")
     return QpProblem(linear=inst.c, quad=inst.q, sigma=inst.omega / t,
                      offset=0.5 * inst.omega * t, poly=inst.poly)
 

@@ -33,10 +33,10 @@ polyhedron and quadratic form adopts a copy of it when its free set
 matches, so a warm QP that takes no pivots costs one solve and no
 factorization.  The same factor gives ``scale_ray``, the slopes of a
 solution's x and sigma-scaled multipliers along 1/sigma with the working
-set fixed, in one more bordered solve.  LPs (sigma = 0), Phase-1 included,
-are one-off cold solves in the HiGHS dual simplex (``solve_lp``), whose
-vertex and multipliers come back in the engine's conventions, ready to
-warm-start a QP.
+set fixed, in one more bordered solve.  LPs, Phase-1 included, are no
+``QpProblem`` (whose sigma lies in (0, inf)): ``solve_lp(c, poly)`` solves
+them cold in the HiGHS dual simplex, and their vertex and multipliers come
+back in the engine's conventions, ready to warm-start a QP.
 
 Work per primal pivot, with F the free set, r the number of columns of W
 in ``Q = W W' + diag(D)``, N0 the order of the base and k the border's
@@ -197,10 +197,11 @@ def _signs(status: np.ndarray, pinned: np.ndarray) -> np.ndarray:
 
 @dataclass
 class QpProblem:
-    """min linear'x + (sigma/2) x'Qx + offset over a bounded polyhedron."""
+    """min linear'x + (sigma/2) x'Qx + offset over a bounded polyhedron, with
+    0 < sigma < inf and Q of the polyhedron's size; LPs go to ``solve_lp``."""
 
     linear: np.ndarray
-    quad: QuadraticForm | None
+    quad: QuadraticForm
     sigma: float
     offset: float
     poly: Polyhedron
@@ -208,18 +209,18 @@ class QpProblem:
     def __post_init__(self):
         self.linear = np.asarray(self.linear, dtype=float).ravel()
         self.sigma = float(self.sigma)
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.sigma > 0 and self.quad is None:
-            raise ValueError("sigma > 0 requires a quadratic form")
+        # written so that a NaN sigma fails it
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, "
+                             f"got {self.sigma!r}")
         if self.linear.shape != (self.poly.n,):
             raise ValueError("linear term has wrong length")
+        if self.quad.n != self.poly.n:
+            raise ValueError("quadratic form has wrong size")
 
     def objective(self, x: np.ndarray) -> float:
-        val = float(self.linear @ x) + self.offset
-        if self.sigma > 0:
-            val += 0.5 * self.sigma * self.quad.quad(x)
-        return val
+        return (float(self.linear @ x) + self.offset
+                + 0.5 * self.sigma * self.quad.quad(x))
 
 
 def _gradient(problem: QpProblem, x: np.ndarray, wx: np.ndarray) -> np.ndarray:
@@ -543,8 +544,6 @@ class ActiveSetEngine:
         self.pivot_cap = pivot_cap if pivot_cap is not None else 50 * (self.n + self.m)
         self.track_objective = track_objective
         self.pinned = self.lower == self.upper
-        if not self.sigma > 0:
-            raise ValueError("the active-set engine needs sigma > 0; use solve_lp")
         self.quad = problem.quad
         # mutable per-solve state
         self.x = np.zeros(self.n)
@@ -881,8 +880,7 @@ class ActiveSetEngine:
         r0 = self.poly.b - self.A @ self.x
         if _inf(r0) > FEAS_TOL * (1.0 + _inf(self.poly.b)):
             self.used_phase1 = True
-            lp = solve_lp(QpProblem(linear=np.zeros(self.n), quad=None,
-                                    sigma=0.0, offset=0.0, poly=self.poly))
+            lp = solve_lp(np.zeros(self.n), self.poly)
             self.x, self.status = lp.x, lp.basis.status
         self._build_factor()
 
@@ -961,19 +959,17 @@ class ActiveSetEngine:
         )
 
 
-def solve_lp(problem: QpProblem) -> QpSolution:
-    """Solve the LP min linear'x + offset over the polyhedron with HiGHS.
+def solve_lp(c: np.ndarray, poly: Polyhedron) -> QpSolution:
+    """Solve the LP min c'x over the polyhedron with HiGHS.
 
-    Runs the dual simplex of ``scipy.optimize.linprog``; the quadratic term
-    is ignored.  Multipliers follow the engine's convention ``linear - A'lam
-    - mu_lower + mu_upper = 0``.  The basis fixes a variable at the bound it
-    sits on unless its reduced cost is zero; those stay Basic with the
-    interior ones, so a degenerate vertex (a grid path sits entirely at 0
-    or 1) hands a warm QP a free set of full row rank.  Raises
-    ``InfeasibleError`` for an infeasible LP and ``LpFailureError`` when
-    HiGHS stops without an answer.
+    Runs the dual simplex of ``scipy.optimize.linprog``.  Multipliers follow
+    the engine's convention ``c - A'lam - mu_lower + mu_upper = 0``.  The
+    basis fixes a variable at the bound it sits on unless its reduced cost
+    is zero; those stay Basic with the interior ones, so a degenerate vertex
+    (a grid path sits entirely at 0 or 1) hands a warm QP a free set of full
+    row rank.  Raises ``InfeasibleError`` for an infeasible LP and
+    ``LpFailureError`` when HiGHS stops without an answer.
     """
-    poly, c = problem.poly, problem.linear
     # presolve costs more than it saves here: 0.12 s of 0.14 s on the
     # one-row n=3200 cardinality LP, nothing on grid-path LPs
     res = linprog(c, A_eq=poly.A, b_eq=poly.b, method="highs-ds",
@@ -998,26 +994,27 @@ def solve_lp(problem: QpProblem) -> QpSolution:
     x[at_lo], x[at_up] = poly.lower[at_lo], poly.upper[at_up]
     return QpSolution(
         x=x, lam=lam, mu_lower=res.lower.marginals, mu_upper=-res.upper.marginals,
-        objective=problem.objective(x), basis=WorkingBasis(status),
+        objective=float(c @ x), basis=WorkingBasis(status),
         iterations=int(res.nit), status=QpStatus.OPTIMAL)
 
 
-def scale_ray(problem: QpProblem, sol: QpSolution
+def scale_ray(linear: np.ndarray, sol: QpSolution
               ) -> tuple[np.ndarray, np.ndarray] | None:
     """Derivatives of a QP solution along the Hessian scale, working set fixed.
 
-    With s = 1/sigma, the EQP solution of ``sol``'s working set satisfies
+    With s = 1/sigma and c the QP's ``linear`` term, the EQP solution of
+    ``sol``'s working set satisfies
     [[Q_FF, A_F'], [A_F, 0]] [x_F; -s lam] = [-s c_F - Q_FN x_N; b - A_N x_N],
     so x and s lam are affine in s.  One bordered solve on the factor the
     solution hands over, with right-hand side [-c_F; 0], returns their slopes
-    (dx/ds, d(s lam)/ds).  None when the solution carries no factor or the
-    solve finds the system singular.
+    (dx/ds, d(s lam)/ds).  None when the solution carries no factor (as an
+    LP's never does) or the solve finds the system singular.
     """
     fac = sol.basis.factor
     if fac is None:
         return None
     try:
-        return fac.step(problem.linear, 1.0)
+        return fac.step(linear, 1.0)
     except SingularKktError:
         return None
 
@@ -1045,8 +1042,8 @@ def solve_qp(problem: QpProblem, warm: WorkingBasis | None = None,
              warm_x: np.ndarray | None = None,
              pivot_cap: int | None = None,
              track_objective: bool = False) -> QpSolution:
-    """Solve a convex QP (sigma > 0) over {Ax = b, l <= x <= u} with the
-    active-set engine; LPs go to ``solve_lp`` and raise ``ValueError`` here.
+    """Solve a convex QP over {Ax = b, l <= x <= u} with the active-set
+    engine; an LP is no ``QpProblem`` and goes to ``solve_lp``.
 
     ``warm`` carries the variable statuses of a related solve.  PrimalStart
     restores primal feasibility through Phase-1; DualStart fixes

@@ -28,13 +28,13 @@ undefined; such a run returns its point with status TZero and no
 certificate.  Bisection always starts from the LP relaxation, whose point
 gives the bracket [0, sqrt(x_LP' Q x_LP)] and the first QP's basis;
 coordinate descent starts there too unless given a starting t or a warm
-basis.  HiGHS solves that LP once (``solve_lp``); ``qp_count``,
-``qp_pivots``, ``pivot_count`` and ``first_qp_used_phase1`` describe the
-engine's QPs only, on a result and on the ``InfeasibleError`` of an
-infeasible QP alike, and so do ``jumps_tried`` and ``jumps_taken`` for the
-jumps of coordinate descent.  An LP that HiGHS leaves without an optimal vertex
-raises ``LpFailureError``, and a QP whose KKT system stays singular raises
-``SingularKktError``.
+basis.  HiGHS solves that LP once (``solve_lp(inst.c, inst.poly)``);
+``qp_count``, ``qp_pivots``, ``pivot_count`` and ``first_qp_used_phase1``
+describe the engine's QPs only, on a result and on the ``InfeasibleError``
+of an infeasible QP alike, and so do ``jumps_tried`` and ``jumps_taken``
+for the jumps of coordinate descent.  An LP that HiGHS leaves without an
+optimal vertex raises ``LpFailureError``, and a QP whose KKT system stays
+singular raises ``SingularKktError``.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class CdOptions:
     qp_eps: float = 1e-9
 
     def __post_init__(self):
-        # t0 = inf would ask the QP engine for an LP, which only solve_lp runs
+        # t0 = inf is the LP relaxation, which t0=None starts from
         if self.t0 is not None and not 0 < self.t0 < math.inf:
             raise ValueError("t0 must be positive and finite "
                              "(or None for the LP start)")
@@ -105,11 +105,6 @@ class BisectOptions:
         # the stopping estimate is at least qp_eps, so it must stay below delta
         if not self.delta > self.qp_eps:
             raise ValueError("delta must exceed qp_eps, the estimate's floor")
-
-
-def _lp_relaxation(inst: ConicInstance) -> QpSolution:
-    """Optimal LP vertex (t -> inf), solved by HiGHS and not counted as a QP."""
-    return solve_lp(subproblem_objective(inst, math.inf))
 
 
 def _statuses(sol: QpSolution) -> WorkingBasis:
@@ -160,7 +155,7 @@ def _fixed_point(inst: ConicInstance, sol: QpSolution, t_i: float,
     * t*^2 is above ``QZERO_TOL``, out of the T-zero regime;
     * it moves t by more than ``delta * t_next``.
     """
-    ray = scale_ray(subproblem_objective(inst, t_i), sol)
+    ray = scale_ray(inst.c, sol)
     if ray is None:
         return None
     dxds, dmuds = ray
@@ -276,7 +271,7 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
             raise ValueError("warm t must be positive and finite")
         chain = _QpChain(inst, basis, mode=StartMode.DUAL_START)
     elif opt.t0 is None:
-        sol = _lp_relaxation(inst)
+        sol = solve_lp(inst.c, inst.poly)
         chain = _QpChain(inst, sol.basis, sol.x)
         t_i, zero = _scale(inst, sol.x)
         if zero:
@@ -320,7 +315,7 @@ def solve_bisection(inst: ConicInstance,
     opt = opt or BisectOptions()
     interval_trace: list[tuple[float, float]] = []
 
-    lp = _lp_relaxation(inst)
+    lp = solve_lp(inst.c, inst.poly)
     chain = _QpChain(inst, lp.basis, lp.x)
     t_max, zero = _scale(inst, lp.x)
     if zero:  # t_max bounds the optimal sqrt(x'Qx)

@@ -41,7 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from conicqp import BnbOptions, BnbStatus, solve_bisection, solve_bnb, solve_cd
+from conicqp import BnbOptions, solve_bisection, solve_bnb, solve_cd
+from conicqp.bnb import BNB_SOLVED
 from test_bad_inputs import SOLVED, TYPED_ERRORS, bad_instance
 
 SIZE = 800
@@ -54,8 +55,7 @@ CHOICES = {
     "costs": ["random", "tied", "positive"],
     "omega": [1.0, 1e-6, 1e6],
 }
-SOLVED_NAMES = ({s.value for s in SOLVED}
-                | {BnbStatus.OPTIMAL.value, BnbStatus.GAP_REACHED.value})
+SOLVED_NAMES = {s.value for s in SOLVED + BNB_SOLVED}
 
 
 def corpus_params(i: int) -> dict:
@@ -88,7 +88,7 @@ def bnb_outcome(inst) -> tuple[str, bool]:
         return type(err).__name__, False
     except Exception as err:  # counted, so the run goes on
         return f"untyped {type(err).__name__}", False
-    if res.status in (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED):
+    if res.status in BNB_SOLVED:
         x = res.incumbent_x
         ok = (x is not None and inst.poly.contains(x, tol=1e-7)
               and bool(np.all(np.abs(x - np.round(x)) <= 1e-5)))

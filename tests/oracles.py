@@ -103,7 +103,7 @@ def projected_gradient_qp(problem: QpProblem, tol: float = 1e-10,
     """
     poly = problem.poly
     n = poly.n
-    H = problem.sigma * problem.quad.dense() if problem.sigma > 0 else np.zeros((n, n))
+    H = problem.sigma * problem.quad.dense()
     g = problem.linear
     eigs = np.linalg.eigvalsh(H) if n else np.zeros(1)
     L = max(float(eigs[-1]), 1e-8)
@@ -144,9 +144,20 @@ def enumerate_tiny_qp(problem: QpProblem) -> tuple[np.ndarray | None, float]:
     feasible candidates, and returns the best; exact for convex objectives
     because the optimal active set is among the patterns.
     """
-    poly = problem.poly
+    return _enumerate_faces(problem.linear, problem.sigma * problem.quad.dense(),
+                            problem.poly, problem.objective)
+
+
+def enumerate_tiny_lp(c: np.ndarray, poly) -> tuple[np.ndarray | None, float]:
+    """``enumerate_tiny_qp`` for the LP min c'x over ``poly``."""
+    return _enumerate_faces(c, np.zeros((poly.n, poly.n)), poly,
+                            lambda x: float(c @ x))
+
+
+def _enumerate_faces(linear, H, poly, objective):
+    """The best feasible stationary point of linear'x + x'Hx/2 over the
+    faces of ``poly``, valued by ``objective``."""
     n, m = poly.n, poly.m
-    H = problem.sigma * problem.quad.dense() if problem.sigma > 0 else np.zeros((n, n))
     best, bx = math.inf, None
     for pattern in itertools.product((0, 1, 2), repeat=n):
         fixed = [i for i, s in enumerate(pattern) if s]
@@ -160,7 +171,7 @@ def enumerate_tiny_qp(problem: QpProblem) -> tuple[np.ndarray | None, float]:
         K[:nf, nf:] = poly.A[:, free].T
         K[nf:, :nf] = poly.A[:, free]
         rhs = np.concatenate([
-            -(problem.linear[free]
+            -(linear[free]
               + (H[np.ix_(free, fixed)] @ xf[fixed] if fixed else 0.0)),
             poly.b - (poly.A[:, fixed] @ xf[fixed] if fixed else 0.0),
         ])
@@ -173,7 +184,7 @@ def enumerate_tiny_qp(problem: QpProblem) -> tuple[np.ndarray | None, float]:
             continue
         if np.any(x < poly.lower - 1e-9) or np.any(x > poly.upper + 1e-9):
             continue
-        v = problem.objective(np.clip(x, poly.lower, poly.upper))
+        v = objective(np.clip(x, poly.lower, poly.upper))
         if v < best:
             best, bx = v, x.copy()
     return bx, best
@@ -187,7 +198,7 @@ def golden_section_g(inst, t_hi: float | None = None, tol: float = 1e-9,
     warm-started along the search); returns the best objective seen.
     """
     if t_hi is None:
-        lp = solve_lp(subproblem_objective(inst, math.inf))
+        lp = solve_lp(inst.c, inst.poly)
         t_hi = max(math.sqrt(max(inst.q.quad(lp.x), 0.0)), 1e-6) * (1 + 1e-9)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     prev = None

@@ -26,6 +26,7 @@ from conicqp import (
     solve_bnb,
     solve_cd,
 )
+from conicqp.bnb import BNB_SOLVED
 from conicqp.generate import gen_costs, gen_quadratic, grid_arcs
 from conicqp.qp import AT_LOWER
 
@@ -136,7 +137,7 @@ def test_bnb_certifies_or_types(params):
         res = solve_bnb(inst, BnbOptions(node_limit=60))
     except TYPED_ERRORS:
         return
-    if res.status in (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED):
+    if res.status in BNB_SOLVED:
         x = res.incumbent_x
         assert inst.poly.contains(x, tol=1e-7)
         np.testing.assert_allclose(x, np.round(x), atol=1e-5)

@@ -144,6 +144,13 @@ class TestSolve:
         assert main(["solve", "--instance", str(tmp_path / "nope.json")]) \
             == EXIT_USAGE
 
+    def test_t0_whose_sigma_overflows_is_a_usage_error(self, tmp_path, capsys):
+        # omega / t0 = 1 / 1e-320 overflows to sigma = inf, which no QP holds
+        inst = write_simplex_instance(tmp_path / "s.json")
+        assert main(["solve", "--instance", str(inst), "--t0", "1e-320"]) \
+            == EXIT_USAGE
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+
     def test_csv_row_schema(self, tmp_path, capsys):
         inst = write_simplex_instance(tmp_path / "s.json")
         out = tmp_path / "r.csv"

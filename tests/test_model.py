@@ -96,9 +96,12 @@ class TestEvalH:
     def test_infinity_branch(self):
         assert eval_h(identity_form(2), np.array([1.0, 0.0]), 0.0) == math.inf
 
-    def test_negative_t_rejected(self):
-        with pytest.raises(ValueError):
-            eval_h(identity_form(2), np.zeros(2), -1.0)
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_negative_t_rejected(self, t):
+        # NaN is refused too, also at x = 0, where x'Qx / t would not show it
+        for x in (np.zeros(2), np.ones(2)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                eval_h(identity_form(2), x, t)
 
 
 class TestSubproblemObjective:
@@ -113,9 +116,9 @@ class TestSubproblemObjective:
         assert qp.offset == pytest.approx(4.0)
 
     def test_lp_sentinel(self):
-        qp = subproblem_objective(simplex_instance(), math.inf)
-        assert qp.sigma == 0.0
-        assert qp.offset == 0.0
+        # t = inf, the LP relaxation, is no QP: solve_lp(c, poly) solves it
+        with pytest.raises(ValueError, match="solve_lp"):
+            subproblem_objective(simplex_instance(), math.inf)
 
     def test_nonpositive_t_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Active-set QP engine: examples, warm starts, dual restarts, invariants."""
 
+import math
 import warnings
 
 import numpy as np
@@ -47,7 +48,7 @@ from conicqp.qp import (
     working_set_holds,
 )
 
-from oracles import enumerate_tiny_qp, projected_gradient_qp
+from oracles import enumerate_tiny_lp, enumerate_tiny_qp, projected_gradient_qp
 from test_bad_inputs import bad_instance
 
 
@@ -78,16 +79,18 @@ def random_problem(rng, n=None, m=None, sigma=None):
 
 
 def stationarity(p, sol):
-    d = p.linear + (p.sigma * p.quad.matvec(sol.x) if p.sigma > 0 else 0.0)
-    r = d - p.poly.A.T @ sol.lam - sol.mu_lower + sol.mu_upper
+    return residual(p.linear + p.sigma * p.quad.matvec(sol.x), p.poly, sol)
+
+
+def residual(d, poly, sol):
+    """|d - A'lam - mu_lower + mu_upper|_inf for the gradient d at sol.x."""
+    r = d - poly.A.T @ sol.lam - sol.mu_lower + sol.mu_upper
     return float(np.max(np.abs(r), initial=0.0))
 
 
 class TestExamples:
     def test_lp_vertex(self):
-        p = QpProblem(linear=np.array([1.0, 2.0]), quad=identity_form(2),
-                      sigma=0.0, offset=0.0, poly=simplex_poly())
-        s = solve_lp(p)
+        s = solve_lp(np.array([1.0, 2.0]), simplex_poly())
         np.testing.assert_allclose(s.x, [1.0, 0.0], atol=1e-9)
         assert s.objective == pytest.approx(1.0, abs=1e-9)
 
@@ -121,10 +124,14 @@ class TestExamples:
 
 
 class TestInputChecks:
+    # an LP (sigma = 0) is no QpProblem: solve_lp takes its cost and polyhedron
     @pytest.mark.parametrize("change, message", [
-        (dict(sigma=-1.0), "nonnegative"),
-        (dict(quad=None), "quadratic form"),
+        (dict(sigma=-1.0), "sigma must be positive and finite"),
+        (dict(quad=identity_form(3)), "quadratic form"),
         (dict(linear=np.zeros(3)), "wrong length"),
+        (dict(sigma=0.0), "sigma must be positive and finite"),
+        (dict(sigma=math.nan), "sigma must be positive and finite, got nan"),
+        (dict(sigma=math.inf), "sigma must be positive and finite, got inf"),
     ])
     def test_problem_rejected(self, change, message):
         data = dict(linear=np.zeros(2), quad=identity_form(2), sigma=1.0,
@@ -199,32 +206,26 @@ class TestLp:
         rng = np.random.default_rng(55)
         worst_stat = worst_comp = 0.0
         for _ in range(200):
-            p = random_problem(rng, n=int(rng.integers(1, 7)), sigma=0.0)
-            s = solve_lp(p)
+            # the cost and polyhedron of a random QP; a given sigma draws
+            # nothing from rng
+            p = random_problem(rng, n=int(rng.integers(1, 7)), sigma=1.0)
+            s = solve_lp(p.linear, p.poly)
             assert s.status == QpStatus.OPTIMAL
-            _, ref = enumerate_tiny_qp(p)
+            _, ref = enumerate_tiny_lp(p.linear, p.poly)
             assert abs(s.objective - ref) <= 1e-9 * (1 + abs(ref))
             gap_lo = s.mu_lower * (s.x - p.poly.lower)
             gap_up = s.mu_upper * (p.poly.upper - s.x)
-            worst_stat = max(worst_stat, stationarity(p, s))
+            worst_stat = max(worst_stat, residual(p.linear, p.poly, s))
             worst_comp = max(worst_comp, np.max(np.abs(gap_lo), initial=0.0),
                              np.max(np.abs(gap_up), initial=0.0))
         assert worst_stat <= 1e-9
         assert worst_comp <= 1e-7
 
-    def test_solve_qp_refuses_an_lp(self):
-        lp = QpProblem(linear=np.array([1.0, 2.0]), quad=identity_form(2),
-                       sigma=0.0, offset=0.0, poly=simplex_poly())
-        with pytest.raises(ValueError, match="solve_lp"):
-            solve_qp(lp)
-
     def test_highs_without_answer_raises(self, monkeypatch):
         monkeypatch.setattr(conicqp.qp, "linprog", lambda *a, **k: OptimizeResult(
             status=1, message="Iteration limit reached.", x=None, nit=1))
-        lp = QpProblem(linear=np.array([1.0, 2.0]), quad=identity_form(2),
-                       sigma=0.0, offset=0.0, poly=simplex_poly())
         with pytest.raises(LpFailureError):
-            solve_lp(lp)
+            solve_lp(np.array([1.0, 2.0]), simplex_poly())
         # a cold QP needs a Phase-1 vertex from the same LP solver
         qp = QpProblem(linear=np.zeros(2), quad=identity_form(2), sigma=1.0,
                        offset=0.0, poly=simplex_poly())
@@ -302,15 +303,13 @@ class TestReoptimize:
         np.testing.assert_allclose(res.x, base.x, atol=1e-10)
 
     def test_lp_vertex_tightening(self):
-        p = QpProblem(linear=np.array([1.0, 2.0, 3.0]), quad=identity_form(3),
-                      sigma=0.0, offset=0.0, poly=simplex_poly(3))
-        base = solve_lp(p)
+        c, poly = np.array([1.0, 2.0, 3.0]), simplex_poly(3)
+        base = solve_lp(c, poly)
         np.testing.assert_allclose(base.x, [1, 0, 0], atol=1e-9)
-        up = p.poly.upper.copy()
+        up = poly.upper.copy()
         up[0] = 0.0
-        p2 = QpProblem(linear=p.linear, quad=p.quad, sigma=0.0, offset=0.0,
-                       poly=Polyhedron(p.poly.A, p.poly.b, p.poly.lower, up))
-        res = solve_lp(p2)  # LPs solve cold: HiGHS takes no warm basis
+        # LPs solve cold: HiGHS takes no warm basis
+        res = solve_lp(c, Polyhedron(poly.A, poly.b, poly.lower, up))
         np.testing.assert_allclose(res.x, [0, 1, 0], atol=1e-9)
 
     def test_child_objective_dominates_parent(self):
@@ -419,10 +418,10 @@ class TestFactorHandover:
     def test_scale_ray_needs_a_factor(self):
         rng = np.random.default_rng(5)
         p = random_problem(rng, n=10, m=3, sigma=1.0)
-        assert scale_ray(p, solve_qp(p)) is not None
-        lp = solve_lp(with_sigma(p, 0.0))  # HiGHS hands over no factor
+        assert scale_ray(p.linear, solve_qp(p)) is not None
+        lp = solve_lp(p.linear, p.poly)  # HiGHS hands over no factor
         assert lp.basis.factor is None
-        assert scale_ray(p, lp) is None
+        assert scale_ray(p.linear, lp) is None
 
     def test_cd_chain_reuses_matching_factors(self, monkeypatch):
         calls = []

@@ -22,7 +22,6 @@ from conicqp import (
     solve_bisection,
     solve_cd,
     solve_lp,
-    subproblem_objective,
 )
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path
 from conicqp.model import QZERO_TOL
@@ -159,13 +158,13 @@ class TestInitTmax:
         inst = seeded(5)
         inst2 = ConicInstance(c=np.zeros(inst.n), omega=inst.omega, q=inst.q,
                               poly=inst.poly)
-        lp = solve_lp(subproblem_objective(inst2, math.inf))
+        lp = solve_lp(inst2.c, inst2.poly)
         t_max = math.sqrt(inst2.q.quad(lp.x))
         assert t_max >= solve_cd(inst2).t - 1e-7
 
     def test_simplex_vertex(self):
         inst = simplex_instance(c=(1.0, 2.0))
-        lp = solve_lp(subproblem_objective(inst, math.inf))
+        lp = solve_lp(inst.c, inst.poly)
         t_max = math.sqrt(inst.q.quad(lp.x))
         assert t_max == pytest.approx(1.0, abs=1e-9)
 
@@ -174,7 +173,7 @@ class TestInitTmax:
         # must stay Basic so the first QP starts from a full-rank free set
         for grid in ((6, 6), (8, 8)):
             inst = seeded(4, family="gridpath", grid=grid)
-            lp = solve_lp(subproblem_objective(inst, math.inf))
+            lp = solve_lp(inst.c, inst.poly)
             free = lp.basis.status == BASIC
             assert free.sum() >= inst.poly.m
             assert np.linalg.matrix_rank(inst.poly.A[:, free]) == inst.poly.m
@@ -194,7 +193,7 @@ class TestInitTmax:
     def test_bounds_optimal_t_on_seeded_instances(self):
         for seed in range(8):
             inst = seeded(seed, n=25)
-            lp = solve_lp(subproblem_objective(inst, math.inf))
+            lp = solve_lp(inst.c, inst.poly)
             t_max = math.sqrt(inst.q.quad(lp.x))
             assert solve_cd(inst).t <= t_max + 1e-7
 
@@ -222,7 +221,7 @@ class TestBisection:
     def test_final_t_within_lp_bracket(self):
         for seed in range(6):
             inst = seeded(seed, family="gridpath")
-            lp = solve_lp(subproblem_objective(inst, math.inf))
+            lp = solve_lp(inst.c, inst.poly)
             t_max = math.sqrt(inst.q.quad(lp.x))
             res = solve_bisection(inst)
             assert res.t <= t_max + 1e-7
