@@ -130,11 +130,8 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     t0_opt = None if args.t0 == "lp" else float(args.t0)
-    eps = min(1e-9, 0.1 * args.tol)
-    if args.alg == "cd":
-        opts = CdOptions(t0=t0_opt, delta=args.tol, qp_eps=eps)
-    else:
-        opts = BisectOptions(delta=args.tol, qp_eps=eps)
+    opts = (CdOptions(t0=t0_opt, delta=args.tol) if args.alg == "cd"
+            else BisectOptions(delta=args.tol))
     res, rec = _run(inst, args.instance, args.alg, opts)
     print(f"objective     {res.objective:.12g}")
     print(f"t             {res.t:.12g}")

@@ -898,15 +898,21 @@ class ActiveSetEngine:
 
     def _normalize_basis(self, warm, warm_x):
         if warm is not None:
-            st = np.asarray(warm.status, dtype=np.int8).copy()
+            st = np.asarray(warm.status)
             if st.shape != (self.n,):
                 raise ValueError("warm basis has wrong length")
-            self.status = st
+            # checked before the int8 cast, which would wrap 300 to 44
+            if not ((st == BASIC) | (st == AT_LOWER) | (st == AT_UPPER)).all():
+                raise ValueError("warm basis holds a status other than "
+                                 "BASIC, AT_LOWER and AT_UPPER")
+            self.status = st.astype(np.int8)
         self.status[self.pinned] = AT_LOWER
         if warm_x is not None:
             self.x = np.asarray(warm_x, dtype=float).copy()
             if self.x.shape != (self.n,):
                 raise ValueError("warm point has wrong length")
+            if not np.isfinite(self.x).all():
+                raise ValueError("warm point must be finite")
         self._project()
 
     def solve(self, warm: WorkingBasis | None = None,

@@ -21,11 +21,18 @@ each QP warm-started from the last; they differ in how they pick the next t:
 
 Both report a KKT certificate for the conic problem, with the dual
 feasibility estimate qp_eps + (|dt|/t) * ||grad f||_inf as the convergence
-measure.  A run that would stop as solved but has no certificate at its
-point (it is off ``Ax = b`` by more than 1e-7, say) reports Uncertified.
-Both use one T-zero test: x'Qx at or below ``QZERO_TOL``, where grad f is
-undefined; such a run returns its point with status TZero and no
-certificate.  Bisection always starts from the LP relaxation, whose point
+measure; ``qp_eps`` is min(1e-9, delta / 10) unless ``CdOptions`` sets it,
+and both option types require 0 <= qp_eps < delta < inf.  Coordinate
+descent stops Optimal ("dual_bound") once the estimate is at most delta.
+Bisection stops once its incumbent's estimate is at most delta and either
+the incumbent is within the relative gap of the lower bound
+c'x_high + omega t_min, Optimal ("gap"), or the midpoint's estimate is at
+most delta too, ToleranceReached ("dual_bound"); that bound exists only
+once t_min > 0, so Optimal needs a finite one.  A run that would stop as
+solved but has no certificate at its point (it is off ``Ax = b`` by more
+than 1e-7, say) reports Uncertified.  Both use one T-zero test: x'Qx at or
+below ``QZERO_TOL``, where grad f is undefined; such a run returns its
+point with status TZero and no certificate.  Bisection always starts from the LP relaxation, whose point
 gives the bracket [0, sqrt(x_LP' Q x_LP)] and the first QP's basis;
 coordinate descent starts there too unless given a starting t or a warm
 basis.  HiGHS solves that LP once (``solve_lp(inst.c, inst.poly)``);
@@ -40,7 +47,7 @@ singular raises ``SingularKktError``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,39 +79,50 @@ BISECT_MAX_OUTER = 200    # bisection midpoint QPs before IterLimit
 BISECT_GAP_TOL = 1e-6     # relative gap between incumbent and lower bound
 
 
+def _stop_floor(delta: float, qp_eps: float | None = None) -> float:
+    """The dual-bound estimate's floor: ``qp_eps``, or when None the
+    default that ``delta`` sets.  Refuses a pair outside the rule, NaN
+    included: an estimate of at least qp_eps must be able to reach delta, a
+    negative floor stops on an estimate below the true one, and an infinite
+    delta stops on any estimate."""
+    qp_eps = min(1e-9, delta / 10) if qp_eps is None else qp_eps
+    if not 0 <= qp_eps < delta < math.inf:
+        raise ValueError(f"need 0 <= qp_eps < delta < inf, got qp_eps = "
+                         f"{qp_eps!r} and delta = {delta!r}")
+    return qp_eps
+
+
 @dataclass
 class CdOptions:
     """Coordinate-descent options; ``t0=None`` means "solve the LP first".
 
-    ``qp_eps`` is the constant the dual-bound estimate adds; no option
-    changes the engine's pricing threshold (``OPT_TOL/2`` = 5e-10)."""
+    ``qp_eps`` (by default set from ``delta``, as the module docstring
+    says) is the constant the dual-bound estimate adds; no option changes
+    the engine's pricing threshold (``OPT_TOL/2`` = 5e-10)."""
 
     t0: float | None = None
     delta: float = 1e-5
-    qp_eps: float = 1e-9
+    qp_eps: float | None = None
 
     def __post_init__(self):
         # t0 = inf is the LP relaxation, which t0=None starts from
         if self.t0 is not None and not 0 < self.t0 < math.inf:
             raise ValueError("t0 must be positive and finite "
                              "(or None for the LP start)")
-        if not self.delta > self.qp_eps:
-            raise ValueError("delta must exceed qp_eps, the estimate's floor")
+        self.qp_eps = _stop_floor(self.delta, self.qp_eps)
 
 
 @dataclass
 class BisectOptions:
     """Bisection options; the bracket always starts from the LP relaxation.
 
-    ``qp_eps`` is as for ``CdOptions``, not an engine tolerance."""
+    ``qp_eps`` is set from ``delta`` as ``CdOptions`` defaults it."""
 
     delta: float = 1e-5
-    qp_eps: float = 1e-9
+    qp_eps: float = field(init=False)
 
     def __post_init__(self):
-        # the stopping estimate is at least qp_eps, so it must stay below delta
-        if not self.delta > self.qp_eps:
-            raise ValueError("delta must exceed qp_eps, the estimate's floor")
+        self.qp_eps = _stop_floor(self.delta)
 
 
 def _statuses(sol: QpSolution) -> WorkingBasis:
@@ -308,9 +326,12 @@ def solve_bisection(inst: ConicInstance,
     whichever end of the bracket t1 falls beyond, so the interval at least
     halves.  The incumbent is the best conic objective seen, the LP point
     first; a lower bound combines the linear part at the largest evaluated t
-    with the risk part at the smallest, and the run stops once the relative
-    gap closes and the incumbent's dual-feasibility estimate is within
-    ``opt.delta`` (so every converged solve carries a certificate).
+    with the risk part at the smallest, t_min, and exists only once
+    t_min > 0.  Every stop needs the incumbent's dual-feasibility estimate
+    within ``opt.delta`` (so every converged solve carries a certificate);
+    the run then stops Optimal ("gap") when the lower bound is finite and
+    the relative gap to it closes, or ToleranceReached ("dual_bound") when
+    the midpoint's estimate is within ``opt.delta`` too.
     """
     opt = opt or BisectOptions()
     interval_trace: list[tuple[float, float]] = []
@@ -328,8 +349,7 @@ def solve_bisection(inst: ConicInstance,
     incumbent_est = math.inf
 
     interval_trace.append((t_min, t_max))
-    status = SolveStatus.ITER_LIMIT
-    stop_reason = "iter_limit"
+    status, stop_reason = SolveStatus.ITER_LIMIT, "iter_limit"
     for _ in range(BISECT_MAX_OUTER):
         t0 = 0.5 * (t_min + t_max)
         sol = chain.solve(t0)
@@ -360,10 +380,10 @@ def solve_bisection(inst: ConicInstance,
             incumbent_obj, incumbent_sol = z0, sol
             incumbent_est = est
         chain.trace.append((t0, incumbent_obj))
-        z_lower = -math.inf
-        if t_min > 0:
-            z_lower = float(inst.c @ x_high_side) + inst.omega * t_min
-        gap_ok = (incumbent_obj - z_lower) <= BISECT_GAP_TOL * max(abs(z_lower), 1.0)
+        # a lower bound exists only once t_min > 0
+        z_lower = float(inst.c @ x_high_side) + inst.omega * t_min
+        gap_ok = t_min > 0 and (incumbent_obj - z_lower
+                                <= BISECT_GAP_TOL * max(abs(z_lower), 1.0))
         if incumbent_est <= opt.delta and (gap_ok or est <= opt.delta):
             status = SolveStatus.OPTIMAL if gap_ok else SolveStatus.TOLERANCE_REACHED
             stop_reason = "gap" if gap_ok else "dual_bound"

@@ -17,17 +17,20 @@ binary instances.
 
 An outcome is a solve status, or the name of the exception raised.  A
 convex outcome is certified when its status is solved (Optimal or
-ToleranceReached) and it carries a KKT certificate; a B&B outcome is
-certified when its status is Optimal or GapReached and its incumbent is an
-integral point feasible to 1e-7.  A solved outcome that fails these tests
-counts as "solved without certificate", and an exception outside
-``TYPED_ERRORS`` as untyped.  The JSON file holds every instance's outcome
-per driver; standard output shows the counts per driver as a table.
+ToleranceReached) and it carries a KKT certificate, whose ``residual_inf``
+the file records; a B&B outcome is certified when its status is Optimal or
+GapReached and its incumbent is an integral point feasible to 1e-7.  A
+solved outcome that fails these tests counts as "solved without
+certificate", and an exception outside ``TYPED_ERRORS`` as untyped.  The
+JSON file holds every instance's outcome per driver; standard output shows
+the counts per driver as a table and, per convex driver, the largest
+``residual_inf`` of a certified outcome and how many exceed 1e-5.
 
 ``compare`` reads two such files of the same corpus, for instance one
 written at a parent commit and one at a change, and prints per driver the
 instances that lost or gained a certificate and every instance whose
-outcome changed; it exits with status 1 when a certificate was lost.
+outcome changed.  It compares outcomes only, not residuals, and exits with
+status 1 when a certificate was lost.
 
 Pytest does not collect this file; a run takes one to two minutes.
 """
@@ -68,17 +71,19 @@ def corpus_params(i: int) -> dict:
     return params
 
 
-def convex_outcome(inst, solver) -> tuple[str, bool]:
+def convex_outcome(inst, solver) -> tuple[str, bool, float | None]:
+    """The outcome, whether it is certified, and the certificate's
+    ``residual_inf`` when it is (None otherwise)."""
     try:
         res = solver(inst)
     except TYPED_ERRORS as err:
-        return type(err).__name__, False
+        return type(err).__name__, False, None
     except Exception as err:  # counted, so the run goes on
-        return f"untyped {type(err).__name__}", False
-    if res.status in SOLVED:
-        ok = res.kkt is not None and inst.poly.contains(res.x, tol=1e-7)
-        return res.status.value, ok
-    return res.status.value, False
+        return f"untyped {type(err).__name__}", False, None
+    if (res.status in SOLVED and res.kkt is not None
+            and inst.poly.contains(res.x, tol=1e-7)):
+        return res.status.value, True, res.kkt.residual_inf
+    return res.status.value, False, None
 
 
 def bnb_outcome(inst) -> tuple[str, bool]:
@@ -112,8 +117,9 @@ def main(out_path: str) -> None:
         inst = bad_instance(**params)
         for name, solver in (("solve_cd", solve_cd),
                              ("solve_bisection", solve_bisection)):
-            outcome, ok = convex_outcome(inst, solver)
-            results[name].append({"i": i, "outcome": outcome, "certified": ok})
+            outcome, ok, resid = convex_outcome(inst, solver)
+            results[name].append({"i": i, "outcome": outcome, "certified": ok,
+                                  "residual_inf": resid})
         if i < BNB_SIZE:
             outcome, ok = bnb_outcome(bad_instance(**params, discrete=True))
             results["solve_bnb"].append({"i": i, "outcome": outcome,
@@ -131,6 +137,14 @@ def main(out_path: str) -> None:
         cells = " | ".join(str(row[c]) if row[c] else "" for c in columns)
         print(f"| `{name}` ({len(results[name])}) | {cells} |")
     print(f"certified total: {sum(row['certified'] for row in counts.values())}")
+    for name in ("solve_cd", "solve_bisection"):
+        rows = [r for r in results[name] if r["certified"]]
+        if rows:
+            worst = max(rows, key=lambda r: r["residual_inf"])
+            above = sum(r["residual_inf"] > 1e-5 for r in rows)
+            print(f"{name}: largest certified residual_inf "
+                  f"{worst['residual_inf']:.3g} (instance {worst['i']}), "
+                  f"{above} above 1e-5")
 
 
 def compare(old_path: str, new_path: str) -> int:

@@ -149,6 +149,24 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=message):
             solve_qp(p, **start)
 
+    @pytest.mark.parametrize("mode", list(StartMode))
+    @pytest.mark.parametrize("status, x, message", [
+        (7, None, "warm basis holds a status"),
+        # an int64 300 would wrap to the int8 44 if cast before the check
+        (300, None, "warm basis holds a status"),
+        (-1, None, "warm basis holds a status"),
+        (BASIC, math.nan, "warm point must be finite"),
+        (BASIC, math.inf, "warm point must be finite"),
+    ], ids=["status7", "status300", "status-1", "x-nan", "x-inf"])
+    def test_warm_start_with_bad_values_rejected(self, status, x, message,
+                                                 mode):
+        p = QpProblem(linear=np.zeros(2), quad=identity_form(2), sigma=1.0,
+                      offset=0.0, poly=simplex_poly())
+        warm_x = None if x is None else np.array([x, 0.5])
+        with pytest.raises(ValueError, match=message):
+            solve_qp(p, warm=WorkingBasis(np.array([BASIC, status])),
+                     mode=mode, warm_x=warm_x)
+
 
 class TestAllPinned:
     """Rows implied once the pinned (lower == upper) variables are

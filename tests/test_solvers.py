@@ -25,7 +25,7 @@ from conicqp import (
 )
 from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path
 from conicqp.model import QZERO_TOL
-from conicqp.qp import BASIC, StartMode
+from conicqp.qp import BASIC, StartMode, WorkingBasis
 
 from oracles import golden_section_g
 from test_bad_inputs import bad_instance
@@ -78,9 +78,38 @@ class TestOptions:
             CdOptions(t0=math.inf)
 
     def test_bisect_delta_must_exceed_engine_tol(self):
-        # bisection stops only once qp_eps + ... <= delta, which this never meets
+        # qp_eps = min(1e-9, 0 / 10) = 0, and the estimate's floor must stay
+        # strictly below delta for a stop to be reachable
         with pytest.raises(ValueError):
-            BisectOptions(delta=1e-10, qp_eps=1e-9)
+            BisectOptions(delta=0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: CdOptions(qp_eps=-1.0),
+        lambda: CdOptions(qp_eps=math.nan),
+        lambda: CdOptions(delta=math.inf),
+        lambda: CdOptions(delta=math.nan),
+        lambda: BisectOptions(delta=math.inf),
+        lambda: BisectOptions(delta=math.nan),
+    ], ids=["cd-negative-eps", "cd-nan-eps", "cd-inf-delta", "cd-nan-delta",
+            "bisect-inf-delta", "bisect-nan-delta"])
+    def test_tolerances_outside_the_rule_rejected(self, make):
+        # a negative floor certified a wrong point: on gen_cardinality with
+        # n = 200, r = 20, alpha = 0.1, omega = 2 and seed 7, qp_eps = -1
+        # stopped cd as Optimal after 3 QPs at a KKT residual of 0.65,
+        # against 8 QPs and 3e-15 by default
+        with pytest.raises(ValueError, match="0 <= qp_eps < delta < inf"):
+            make()
+
+    def test_qp_eps_follows_from_delta(self):
+        assert CdOptions().qp_eps == BisectOptions().qp_eps == 1e-9
+        assert CdOptions(delta=1e-10).qp_eps == pytest.approx(1e-11, rel=1e-15)
+        assert BisectOptions(delta=1e-10).qp_eps == pytest.approx(1e-11,
+                                                                  rel=1e-15)
+        assert CdOptions(delta=1e-10, qp_eps=1e-12).qp_eps == 1e-12
+
+    def test_bisect_qp_eps_cannot_be_set(self):
+        with pytest.raises(TypeError):
+            BisectOptions(delta=1e-5, qp_eps=1e-9)
 
 
 class TestCoordinateDescent:
@@ -89,6 +118,18 @@ class TestCoordinateDescent:
         first = solve_cd(simplex_instance())
         with pytest.raises(ValueError, match="warm t"):
             solve_cd(simplex_instance(), warm=(first.basis, t))
+
+    def test_warm_basis_with_foreign_status_rejected(self):
+        # unchecked, status 7 ended Optimal at objective -159.600 with a KKT
+        # residual of 2.65, against -160.772 from the true basis
+        inst = gen_cardinality(GenSpec(family="cardinality", n=200, r=20,
+                                       alpha=0.1, omega=2.0, seed=7))
+        opts = CdOptions(delta=1e-10, qp_eps=1e-12)
+        ref = solve_cd(inst, opts)
+        status = ref.basis.status.copy()
+        status[:5] = 7
+        with pytest.raises(ValueError, match="warm basis holds a status"):
+            solve_cd(inst, opts, warm=(WorkingBasis(status), ref.t))
 
     def test_symmetric_simplex(self):
         res = solve_cd(simplex_instance(), CdOptions(t0=1.0))
@@ -237,6 +278,17 @@ class TestBisection:
             inst = seeded(seed, family="gridpath", grid=(5, 5), omega=2.0)
             res = solve_bisection(inst)
             assert res.kkt is not None and res.kkt.residual_inf <= 1e-5
+
+    def test_no_gap_claimed_without_a_lower_bound(self):
+        # the run stops while t_min is still 0, so no lower bound exists;
+        # with the bound at -inf the gap test read inf <= 1e-6 * inf
+        inst = bad_instance(seed=5050, rows="card", pins=0, extra="none",
+                            d_scale=1e-10, costs="tied", omega=1e-6)
+        res = solve_bisection(inst)
+        assert res.interval_trace[-1][0] == 0.0
+        assert res.status == SolveStatus.TOLERANCE_REACHED
+        assert res.stop_reason == "dual_bound"
+        assert res.kkt is not None
 
 
 class TestWarmStartBehavior:
