@@ -9,7 +9,9 @@ value bounds the node from above only.  Branching uses the
 maximum-infeasibility rule (the variable farthest from an integer, lowest
 index on ties), the child violating its new bound by the least amount is
 processed next, and the sibling joins a best-bound list.  A point is
-integral when every integer variable is within ``INT_TOL`` of an integer.
+integral when every integer variable is within ``INT_TOL`` of an integer;
+one pass over the integer variables' distances to the nearest integer
+answers both that test and the branching choice.
 No presolve, cutting planes, or heuristics are applied.
 """
 
@@ -20,7 +22,7 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -28,8 +30,9 @@ import numpy as np
 from .model import (
     ConicInstance,
     InfeasibleError,
-    Polyhedron,
+    LpFailureError,
     SOLVED,
+    SingularKktError,
     eval_objective,
 )
 from .solvers import CdOptions, solve_cd
@@ -107,27 +110,26 @@ def branch_select(x: np.ndarray, integer_vars) -> tuple[int, float, float]:
     index wins, so the choice is stable against solver-level noise in x.
     Raises if every integer variable is within ``INT_TOL`` of an integer.
     """
-    best_d = INT_TOL
-    scores: list[tuple[int, float]] = []
-    for j in integer_vars:
-        v = float(x[j])
-        frac = v - math.floor(v)
-        d = min(frac, 1.0 - frac)
-        scores.append((int(j), d))
-        if d > best_d:
-            best_d = d
-    if best_d <= INT_TOL:
+    pick = _most_fractional(x, integer_vars)
+    if pick is None:
         raise ValueError("branch_select called on an integral point")
+    return pick
+
+
+def _most_fractional(x: np.ndarray, integer_vars
+                     ) -> tuple[int, float, float] | None:
+    """``branch_select``'s choice, or None when x is integral: every
+    integer variable within ``INT_TOL`` of an integer, by one pass over
+    their distances to the nearest integer."""
+    v = x[list(integer_vars)]
+    dist = np.abs(v - np.round(v))
+    best = np.max(dist, initial=0.0)
+    if best <= INT_TOL:
+        return None
     # integer_vars is sorted, so the lowest tied index wins; the maximum is
     # tied with itself, so there is always one
-    j = next(j for j, d in scores if d >= best_d - BRANCH_TIE_TOL)
-    v = float(x[j])
-    return j, math.floor(v), math.ceil(v)
-
-
-def _is_integral(x: np.ndarray, integer_vars) -> bool:
-    v = x[list(integer_vars)]
-    return bool(np.max(np.abs(v - np.round(v)), initial=0.0) <= INT_TOL)
+    j = int(integer_vars[np.argmax(dist >= best - BRANCH_TIE_TOL)])
+    return j, math.floor(x[j]), math.ceil(x[j])
 
 
 def _egap(ub: float, lb: float) -> float:
@@ -140,13 +142,10 @@ def _apply_bounds(inst: ConicInstance,
                   changes: tuple[tuple[int, float, float], ...]) -> ConicInstance:
     if not changes:
         return inst
-    lower = inst.poly.lower.copy()
-    upper = inst.poly.upper.copy()
+    lower, upper = inst.poly.lower.copy(), inst.poly.upper.copy()
     for j, lo, hi in changes:
         lower[j], upper[j] = lo, hi
-    poly = Polyhedron(A=inst.poly.A, b=inst.poly.b, lower=lower, upper=upper)
-    return ConicInstance(c=inst.c, omega=inst.omega, q=inst.q, poly=poly,
-                         integer_vars=inst.integer_vars, meta=inst.meta)
+    return replace(inst, poly=replace(inst.poly, lower=lower, upper=upper))
 
 
 def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
@@ -161,10 +160,15 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
 
     A node relaxation that stops at its iteration limit, or without a KKT
     certificate (status Uncertified), is not certified: it never prunes,
-    an integral point of it still becomes the incumbent when better, its children inherit the node's own bound, and a node
-    that cannot be branched keeps that bound in the open bound.  If such
-    nodes leave the gap open once the list empties, the status is
-    Uncertified.
+    an integral point of it still becomes the incumbent when better, its
+    children inherit the node's own bound, and a node that cannot be
+    branched keeps that bound in the open bound.  A relaxation that raises
+    ``SingularKktError`` or ``LpFailureError`` leaves its node open at the
+    node's own bound (its parent's) and counts in ``uncertified_nodes``.
+    If such nodes leave the gap open once the list empties, the status is
+    Uncertified, also when no integral point was found.  A branching
+    variable whose bounds are fractional may leave a child with an empty
+    range; that child is not created.
     """
     opts = opts or BnbOptions()
     if not inst.integer_vars:
@@ -181,7 +185,7 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
                    lb=-math.inf, depth=0)
     heapq.heappush(heap, (root.lb, next(counter), root))
     next_node: BnbNode | None = None
-    stuck_lb = math.inf  # lowest bound of the unbranchable uncertified nodes
+    stuck_lb = math.inf  # lowest bound of the nodes held open unbranched
 
     def open_bound() -> float:
         lb = min(heap[0][0] if heap else math.inf, stuck_lb)
@@ -211,7 +215,7 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
             warm = (node.basis, node.t_parent)
         try:
             res = counts = solve_cd(sub, _NODE_CD, warm=warm)
-        except InfeasibleError as err:
+        except (InfeasibleError, SingularKktError, LpFailureError) as err:
             res, counts = None, err  # the error carries the same counts
         out.nodes_processed += 1
         out.qp_count += counts.qp_count
@@ -224,7 +228,11 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
             else:
                 out.warm_accepts += 1
         if res is None:
-            out.infeasible_nodes += 1
+            if isinstance(counts, InfeasibleError):
+                out.infeasible_nodes += 1
+            else:  # a failed relaxation bounds nothing: hold the node open
+                out.uncertified_nodes += 1
+                stuck_lb = min(stuck_lb, node.lb)
             continue
         z = res.objective
         certified = res.status in SOLVED
@@ -240,38 +248,42 @@ def solve_bnb(inst: ConicInstance, opts: BnbOptions | None = None) -> BnbResult:
                       _egap(out.incumbent_obj, lb_now), node.depth)
         if certified and z >= out.incumbent_obj:
             continue  # prune by bound
-        if _is_integral(res.x, inst.integer_vars):
+        pick = _most_fractional(res.x, inst.integer_vars)
+        if pick is None:
             if z < out.incumbent_obj:
                 out.incumbent_obj = z
                 out.incumbent_x = res.x.copy()
             if not certified:
                 stuck_lb = min(stuck_lb, node_lb)
             continue  # prune by integer feasibility
-        j, fl, cl = branch_select(res.x, inst.integer_vars)
+        j, fl, cl = pick
         v = float(res.x[j])
-        child_le, child_ge = (
-            BnbNode(bound_changes=node.bound_changes + ((j, lo, hi),),
-                    basis=res.basis, t_parent=res.t, lb=node_lb,
-                    depth=node.depth + 1)
-            for lo, hi in ((float(sub.poly.lower[j]), float(fl)),
-                           (float(cl), float(sub.poly.upper[j]))))
+        ranges = ((float(sub.poly.lower[j]), float(fl)),
+                  (float(cl), float(sub.poly.upper[j])))
         # dive into the child whose new bound is violated least (the floor
         # child on near-ties, so the dive order is stable against noise)
-        if (v - fl) - (cl - v) <= BRANCH_TIE_TOL:
-            next_node, sibling = child_le, child_ge
-        else:
-            next_node, sibling = child_ge, child_le
-        heapq.heappush(heap, (sibling.lb, next(counter), sibling))
+        if (v - fl) - (cl - v) > BRANCH_TIE_TOL:
+            ranges = ranges[::-1]
+        # a fractional bound can leave a child no range; none left closes
+        # the node
+        children = [BnbNode(bound_changes=node.bound_changes + ((j, lo, hi),),
+                            basis=res.basis, t_parent=res.t, lb=node_lb,
+                            depth=node.depth + 1)
+                    for lo, hi in ranges if lo <= hi]
+        if children:
+            next_node = children[0]
+        for sibling in children[1:]:
+            heapq.heappush(heap, (sibling.lb, next(counter), sibling))
 
     out.best_bound = open_bound()
     out.egap = _egap(out.incumbent_obj, out.best_bound)
     if out.status == BnbStatus.OPTIMAL:
-        if out.incumbent_x is None:
-            out.status = BnbStatus.INFEASIBLE
-        elif out.best_bound < out.incumbent_obj:
-            # unbranchable uncertified nodes stay open
+        if out.best_bound < out.incumbent_obj:
+            # unbranchable uncertified and failed nodes stay open
             out.status = (BnbStatus.GAP_REACHED if out.egap <= opts.gap_tol
                           else BnbStatus.UNCERTIFIED)
+        elif out.incumbent_x is None:
+            out.status = BnbStatus.INFEASIBLE
         else:
             out.egap = 0.0
     return out
@@ -288,17 +300,71 @@ def _cardinality_supports(inst: ConicInstance) -> int | None:
     return int(round(b))
 
 
+def _unit_flow_paths(poly):
+    """Every source-to-sink path of the unit flow {Ax = b}, as the columns
+    it uses, read from ``A`` and ``b`` alone.
+
+    Each column is an arc: its +1 row is its tail and its -1 row its head,
+    and row m, left out of ``A``, is the sink; ``b`` is the unit vector of
+    the source.  The paths come depth first, each node's arcs in column
+    order.  Raises ``ValueError`` when ``A`` or ``b`` is not of that form,
+    when the arc graph has a cycle (a 0/1 unit flow on it need not be a
+    path), or when there are more than 2^20 paths.
+    """
+    A, b = poly.A, poly.b
+    m = poly.m
+    plus, minus = A == 1.0, A == -1.0
+    tail = np.where(plus.any(axis=0), plus.argmax(axis=0), m)
+    head = np.where(minus.any(axis=0), minus.argmax(axis=0), m)
+    if (not (plus | minus | (A == 0.0)).all() or (plus.sum(axis=0) > 1).any()
+            or (minus.sum(axis=0) > 1).any() or (tail == head).any()
+            or not ((b == 0.0) | (b == 1.0)).all() or np.sum(b) != 1.0):
+        raise ValueError("not a unit-flow instance on a graph")
+    out: list[list[int]] = [[] for _ in range(m + 1)]
+    indegree = np.bincount(head, minlength=m + 1)
+    for k, u in enumerate(tail.tolist()):
+        out[u].append(k)
+    order = [v for v in range(m + 1) if indegree[v] == 0]
+    for v in order:  # Kahn's topological sort; order grows as it runs
+        for k in out[v]:
+            indegree[head[k]] -= 1
+            if indegree[head[k]] == 0:
+                order.append(int(head[k]))
+    if len(order) <= m:
+        raise ValueError("the arc graph has a cycle")
+    paths = [0] * m + [1]  # paths from each node to the sink
+    for v in reversed(order):
+        if v != m:
+            paths[v] = sum(paths[head[k]] for k in out[v])
+    source = int(np.argmax(b))
+    if paths[source] > 2 ** 20:
+        raise ValueError("instance too large to enumerate")
+    stack = [(source, [])]
+    while stack:
+        v, chosen = stack.pop()
+        if v == m:
+            yield chosen
+            continue
+        for k in reversed(out[v]):
+            stack.append((int(head[k]), chosen + [k]))
+
+
 def enumeration_oracle(inst: ConicInstance) -> tuple[np.ndarray, float]:
     """Brute-force optimum of a small binary instance by direct evaluation.
 
     Handles the cardinality polytope (all supports of size b that the
-    variable bounds allow), grid path polytopes (all monotone source-to-sink
-    paths), and as a fallback any binary instance with at most 2^20
-    candidate points.  Raises ``InfeasibleError`` when no binary point is
-    feasible.
+    variable bounds allow), grid path polytopes (all source-to-sink paths,
+    read from ``A`` and ``b`` by ``_unit_flow_paths``, whatever the column
+    order), and as a fallback any binary instance with at most 2^20
+    candidate points.  Every variable must be integer with bounds within
+    [0, 1], else it raises ``ValueError``, as it does for a grid instance
+    whose ``A`` is no acyclic unit flow.  Raises ``InfeasibleError`` when no
+    binary point is feasible.
     """
     if not inst.integer_vars or len(inst.integer_vars) != inst.n:
         raise ValueError("enumeration oracle requires a fully binary instance")
+    if (inst.poly.lower < 0.0).any() or (inst.poly.upper > 1.0).any():
+        raise ValueError("enumeration oracle requires bounds within [0, 1]")
     n = inst.n
     best_x, best_obj = None, math.inf
 
@@ -312,9 +378,8 @@ def enumeration_oracle(inst: ConicInstance) -> tuple[np.ndarray, float]:
     if b is not None:
         # a variable whose bounds exclude 1 stays out, one whose bounds
         # exclude 0 is in, and the rest fill the support up to b
-        lo, up = inst.poly.lower, inst.poly.upper
-        no_one = (lo > 1.0 + 1e-9) | (up < 1.0 - 1e-9)
-        no_zero = (lo > 1e-9) | (up < -1e-9)
+        no_one = inst.poly.upper < 1.0 - 1e-9
+        no_zero = inst.poly.lower > 1e-9
         rest = np.flatnonzero(~no_one & ~no_zero).tolist()
         k = b - int(np.count_nonzero(no_zero))
         if np.any(no_one & no_zero) or not 0 <= k <= len(rest):
@@ -330,33 +395,12 @@ def enumeration_oracle(inst: ConicInstance) -> tuple[np.ndarray, float]:
             consider(x)
         return best_x, best_obj
 
-    meta = inst.meta or {}
-    if meta.get("family") == "gridpath":
-        from .generate import grid_arcs
-
-        p, q = int(meta["p"]), int(meta["q"])
-        if math.comb(p + q - 2, p - 1) > 2 ** 20:
-            raise ValueError("instance too large to enumerate")
-        arcs = grid_arcs(p, q)
-        arc_index = {a: k for k, a in enumerate(arcs)}
-        sink = p * q - 1
-
-        def walk(node: int, chosen: list[int]):
-            if node == sink:
-                x = np.zeros(n)
-                x[chosen] = 1.0
-                if inst.poly.contains(x, tol=1e-9):
-                    consider(x)
-                return
-            i, j = divmod(node, q)
-            if j + 1 < q:
-                nxt = node + 1
-                walk(nxt, chosen + [arc_index[(node, nxt)]])
-            if i + 1 < p:
-                nxt = node + q
-                walk(nxt, chosen + [arc_index[(node, nxt)]])
-
-        walk(0, [])
+    if (inst.meta or {}).get("family") == "gridpath":
+        for path in _unit_flow_paths(inst.poly):
+            x = np.zeros(n)
+            x[path] = 1.0
+            if inst.poly.contains(x, tol=1e-9):
+                consider(x)
         if best_x is None:
             raise InfeasibleError("no feasible path in the grid instance")
         return best_x, best_obj

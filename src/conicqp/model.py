@@ -33,13 +33,14 @@ class ZeroQuadraticError(ValueError):
     """
 
 
-class InfeasibleError(RuntimeError):
-    """Raised when a feasibility phase proves the constraint set empty.
+class _CountedError(RuntimeError):
+    """A solve's failure, with the counts of the engine QPs it ran.
 
     The outer loops set the counts of the engine QPs they ran up to and
-    including the infeasible one; the class defaults describe an error
-    raised before any engine QP (an infeasible LP relaxation).
-    """
+    including the failed one, whose pivots a raised error does not report;
+    the class defaults describe an error raised before any engine QP (in
+    the LP relaxation).  A first QP that failed counts as having fallen
+    back from its start."""
 
     qp_count = 0
     pivot_count = 0
@@ -48,12 +49,16 @@ class InfeasibleError(RuntimeError):
     jumps_taken = 0
 
 
-class LpFailureError(RuntimeError):
+class InfeasibleError(_CountedError):
+    """Raised when a feasibility phase proves the constraint set empty."""
+
+
+class LpFailureError(_CountedError):
     """Raised when the LP solver stops with neither an optimal vertex nor a
     proof of infeasibility (iteration limit, numerical trouble)."""
 
 
-class SingularKktError(RuntimeError):
+class SingularKktError(_CountedError):
     """Raised when the QP engine's KKT system stays singular after its one
     recovery (typically a Hessian singular on the free set, as with D = 0)."""
 

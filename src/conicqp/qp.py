@@ -798,17 +798,36 @@ class ActiveSetEngine:
 
         At tiny sigma the direction solves check their residuals against
         right-hand sides scaled by 1/sigma, so the steps can drift off the
-        equalities.  One step on the working set with zero gradient moves
-        the free variables back; it is taken only if it keeps them within
-        ``FEAS_TOL (1 + |x|_inf)`` of their bounds, and lam is kept."""
+        equalities.  The restoring step with zero gradient moves the free
+        variables back; it is taken only if it keeps them within their
+        bounds, and lam is kept."""
         resid = self.poly.b - self.A @ self.x
         if _inf(resid) <= FEAS_TOL * (1.0 + _inf(self.poly.b)):
             return
-        p, _ = self.factor.step(np.zeros(self.n), self.sigma, resid)
-        xn = self.x + p
-        tol = FEAS_TOL * (1.0 + _inf(xn))
-        if np.all(xn >= self.lower - tol) and np.all(xn <= self.upper + tol):
+        xn, worst = self._restoring_step(np.zeros(self.n), resid)
+        if worst is None:
             self.x = xn
+
+    def _restoring_step(self, d: np.ndarray, resid: np.ndarray
+                        ) -> tuple[np.ndarray, tuple[int, int] | None]:
+        """x plus the working set's step with gradient d onto Ax = b, where
+        b - Ax is ``resid``, and the free variable that violates its bound
+        most there by more than ``FEAS_TOL (1 + |x|_inf)``, with the bound's
+        side, or None.  The step is zero off the free set and the fixed
+        variables sit on their bounds, so only the free ones are tested."""
+        xn = self.x + self.factor.step(d, self.sigma, resid)[0]
+        free = self._free_idx()
+        ftol = FEAS_TOL * (1.0 + _inf(xn))
+        # lower-bound violations come first, so a tie names the lower bound;
+        # the closing ftol stands for "none", which keeps argmax defined on
+        # an empty free set
+        viol = np.concatenate([self.lower[free] - xn[free],
+                               xn[free] - self.upper[free], [ftol]])
+        k = int(np.argmax(viol))
+        if viol[k] <= ftol:
+            return xn, None
+        return xn, (int(free[k % free.size]),
+                    AT_LOWER if k < free.size else AT_UPPER)
 
     def _worst_violation(self, rc: np.ndarray) -> tuple[int | None, int]:
         """The fixed variable to free, from the reduced costs rc, which it
@@ -846,25 +865,13 @@ class ActiveSetEngine:
             self._build_factor()
             for _ in range(self.pivot_cap + 1):
                 self._form_gradient()
-                resid = self.poly.b - self.A @ self.x
-                p, _ = self.factor.step(self.d, self.sigma, resid)
-                xn = self.x + p
-                free = self._free_idx()
-                ftol = FEAS_TOL * (1.0 + _inf(xn))
-                # lower-bound violations come first, so a tie fixes the
-                # variable at its lower bound; the closing ftol stands for
-                # "none", which keeps argmax defined on an empty free set
-                viol = np.concatenate([self.lower[free] - xn[free],
-                                       xn[free] - self.upper[free], [ftol]])
-                k = int(np.argmax(viol))
-                self.x = xn
-                if viol[k] <= ftol:
+                self.x, worst = self._restoring_step(
+                    self.d, self.poly.b - self.A @ self.x)
+                if worst is None:
                     np.clip(self.x, self.lower, self.upper, out=self.x)
                     return True
-                worst = int(free[k % free.size])
-                worst_side = AT_LOWER if k < free.size else AT_UPPER
-                self._fix_var(worst, worst_side)
-                self._count_pivot(("dfix", worst, int(worst_side)), 1.0)
+                self._fix_var(*worst)
+                self._count_pivot(("dfix", *worst), 1.0)
         except SingularKktError:
             pass
         return False

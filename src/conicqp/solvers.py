@@ -37,11 +37,12 @@ gives the bracket [0, sqrt(x_LP' Q x_LP)] and the first QP's basis;
 coordinate descent starts there too unless given a starting t or a warm
 basis.  HiGHS solves that LP once (``solve_lp(inst.c, inst.poly)``);
 ``qp_count``, ``qp_pivots``, ``pivot_count`` and ``first_qp_used_phase1``
-describe the engine's QPs only, on a result and on the ``InfeasibleError``
-of an infeasible QP alike, and so do ``jumps_tried`` and ``jumps_taken``
-for the jumps of coordinate descent.  An LP that HiGHS leaves without an
-optimal vertex raises ``LpFailureError``, and a QP whose KKT system stays
-singular raises ``SingularKktError``.
+describe the engine's QPs only, and so do ``jumps_tried`` and
+``jumps_taken`` for the jumps of coordinate descent.  An LP that HiGHS
+leaves without an optimal vertex raises ``LpFailureError``, and a QP whose
+KKT system stays singular raises ``SingularKktError``.  Each error, like
+the ``InfeasibleError`` of an infeasible QP, carries the counts of a
+result (``qp_pivots`` aside), the failed QP counted without its pivots.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ from .model import (
     ConicSolveResult,
     InfeasibleError,
     KktCertificate,
+    LpFailureError,
     QZERO_TOL,
+    SingularKktError,
     SolveStatus,
     dual_bound_estimate,
     eval_objective,
@@ -202,7 +205,9 @@ class _QpChain:
     predecessor's basis and point.  The chain counts the QPs and their
     pivots and the fixed-point jumps taken (``next_t``); the jumps tried are
     the working sets tried from.  It holds the driver's ``trace``, raises
-    ``InfeasibleError`` carrying those counts, and builds the run's result.
+    ``InfeasibleError`` for an infeasible QP, and lets a QP's
+    ``SingularKktError`` or ``LpFailureError`` through, each carrying those
+    counts with the failed QP counted, and it builds the run's result.
     """
 
     def __init__(self, inst: ConicInstance, basis: WorkingBasis | None = None,
@@ -218,20 +223,30 @@ class _QpChain:
 
     def solve(self, t: float) -> QpSolution:
         basis, x, mode = self._next
-        sol = solve_qp(subproblem_objective(self.inst, t), warm=basis,
-                       mode=mode, warm_x=x)
+        try:
+            sol = solve_qp(subproblem_objective(self.inst, t), warm=basis,
+                           mode=mode, warm_x=x)
+        except (SingularKktError, LpFailureError) as err:
+            # a failed first QP counts as a fallback from its start
+            self.first_qp_used_phase1 |= not self.qp_pivots
+            self.qp_pivots.append(0)
+            self._counted(err)
+            raise
         if not self.qp_pivots:
             self.first_qp_used_phase1 = sol.used_phase1
         self.qp_pivots.append(sol.iterations)
         if sol.status == QpStatus.INFEASIBLE:
-            err = InfeasibleError("QP subproblem is infeasible")
-            err.qp_count = len(self.qp_pivots)
-            err.pivot_count = sum(self.qp_pivots)
-            err.first_qp_used_phase1 = self.first_qp_used_phase1
-            err.jumps_tried, err.jumps_taken = len(self._rayed), self.jumps_taken
-            raise err
+            raise self._counted(InfeasibleError("QP subproblem is infeasible"))
         self._next = (sol.basis, sol.x, StartMode.PRIMAL_START)
         return sol
+
+    def _counted(self, err: Exception) -> Exception:
+        """``err`` with the chain's counts set on it."""
+        err.qp_count = len(self.qp_pivots)
+        err.pivot_count = sum(self.qp_pivots)
+        err.first_qp_used_phase1 = self.first_qp_used_phase1
+        err.jumps_tried, err.jumps_taken = len(self._rayed), self.jumps_taken
+        return err
 
     def next_t(self, sol: QpSolution, t_i: float, t_next: float,
                delta: float) -> float:

@@ -88,7 +88,7 @@ class Meter:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 5:
-        sys.exit(__doc__.split("\n\n")[1])
+        sys.exit("\n\n".join(__doc__.split("\n\n")[1:3]))
     parent_src, change_src = Path(argv[0]).resolve(), Path(argv[1]).resolve()
     workload, passes, seed = argv[2], int(argv[3]), int(argv[4])
     pkgs = {"parent": load_package(parent_src, "conicqp_parent"),

@@ -175,5 +175,5 @@ if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "compare":
         sys.exit(1 if compare(sys.argv[2], sys.argv[3]) else 0)
     if len(sys.argv) != 2:
-        sys.exit(__doc__.split("\n\n")[1])
+        sys.exit("\n\n".join(__doc__.split("\n\n")[1:3]))
     main(sys.argv[1])

@@ -82,6 +82,6 @@ def results(seeds: list[int]) -> dict:
 
 if __name__ == "__main__":
     if len(sys.argv) < 3:
-        sys.exit(__doc__.split("\n\n")[1])
+        sys.exit("\n\n".join(__doc__.split("\n\n")[1:3]))
     doc = results([int(s) for s in sys.argv[2:]])
     Path(sys.argv[1]).write_text(json.dumps(doc, indent=1) + "\n")

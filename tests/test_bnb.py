@@ -9,21 +9,32 @@ import numpy as np
 import pytest
 
 import conicqp.bnb
+import conicqp.solvers
 from conicqp import (
     BnbOptions,
     BnbStatus,
     ConicInstance,
     ConicSolveResult,
     InfeasibleError,
+    LpFailureError,
     Polyhedron,
     QuadraticForm,
+    SingularKktError,
     SolveStatus,
     branch_select,
     enumeration_oracle,
     eval_objective,
     solve_bnb,
 )
-from conicqp.generate import GenSpec, gen_cardinality, gen_grid_path, grid_arcs
+from conicqp.generate import (
+    GenSpec,
+    gen_cardinality,
+    gen_grid_path,
+    gen_quadratic,
+    grid_arcs,
+)
+
+from test_bad_inputs import bad_instance
 
 
 def card_instance(n, b, c, q, omega=1.0):
@@ -41,6 +52,21 @@ def seeded_card(seed, n=15, r=5, alpha=0.5, omega=2.0):
 def seeded_grid(seed, p=4, q=4, r=5, alpha=0.5, omega=2.0):
     return gen_grid_path(GenSpec(family="gridpath", p=p, q=q, r=r, alpha=alpha,
                                  omega=omega, seed=seed, discrete=True))
+
+
+def rebounded(inst, lower, upper):
+    return dataclasses.replace(inst, poly=dataclasses.replace(
+        inst.poly, lower=lower, upper=upper))
+
+
+def relabelled(inst, perm):
+    """``inst`` with its variables in the order ``perm``."""
+    q = inst.q
+    return dataclasses.replace(
+        inst, c=inst.c[perm],
+        q=QuadraticForm(F=q.F[perm], sigma_factor=q.sigma_factor, D=q.D[perm]),
+        poly=Polyhedron(inst.poly.A[:, perm], inst.poly.b,
+                        inst.poly.lower[perm], inst.poly.upper[perm]))
 
 
 class TestBranchSelect:
@@ -138,13 +164,6 @@ class TestEnumerationOracle:
         with pytest.raises(InfeasibleError):
             enumeration_oracle(self._two_row_instance([1.5, 1.0]))
 
-    @staticmethod
-    def _rebounded(inst, lower, upper):
-        return ConicInstance(c=inst.c, omega=inst.omega, q=inst.q,
-                             poly=Polyhedron(inst.poly.A, inst.poly.b,
-                                             lower, upper),
-                             integer_vars=inst.integer_vars)
-
     @pytest.mark.parametrize("bound, j, value", [
         ("upper", 6, 0.0),  # forces out a variable of the unbounded optimum
         ("lower", 0, 1.0),  # forces in a variable outside it
@@ -153,7 +172,7 @@ class TestEnumerationOracle:
         inst = seeded_card(1, n=10, r=3)  # choose 2 of 10; optimum {6, 8}
         lower, upper = inst.poly.lower.copy(), inst.poly.upper.copy()
         (upper if bound == "upper" else lower)[j] = value
-        inst = self._rebounded(inst, lower, upper)
+        inst = rebounded(inst, lower, upper)
         x, obj = enumeration_oracle(inst)
         assert inst.poly.contains(x, tol=1e-9) and x[j] == value
         best = math.inf
@@ -172,11 +191,56 @@ class TestEnumerationOracle:
         lower = inst.poly.lower.copy()
         lower[:3] = 1.0  # three forced in, two allowed
         with pytest.raises(InfeasibleError):
-            enumeration_oracle(self._rebounded(inst, lower, inst.poly.upper))
+            enumeration_oracle(rebounded(inst, lower, inst.poly.upper))
 
     def test_non_binary_rejected(self):
         inst = gen_cardinality(GenSpec(family="cardinality", n=10, r=3,
                                        alpha=0.3, omega=1.0, seed=0))
+        with pytest.raises(ValueError):
+            enumeration_oracle(inst)
+
+    def test_bounds_outside_the_unit_interval_rejected(self):
+        # sum x = 4 over [0, 3]^6: the best 0/1 point is -10.972, while
+        # solve_bnb finds -13.111 at x = (0, 0, 3, 0, 0, 1)
+        rng = np.random.default_rng(5)
+        q = gen_quadratic(6, 2, 0.5, rng)
+        c = -2 * rng.uniform(1, 2, 6)
+        inst = ConicInstance(
+            c=c, omega=0.5, q=q,
+            poly=Polyhedron(np.ones((1, 6)), [4.0], np.zeros(6),
+                            np.full(6, 3.0)),
+            integer_vars=tuple(range(6)))
+        with pytest.raises(ValueError, match="within"):
+            enumeration_oracle(inst)
+
+    def test_grid_paths_read_from_the_columns(self):
+        # the columns permuted as the benchmark relabels them, so the
+        # generator's arc numbering does not describe this A
+        inst = seeded_grid(400)
+        moved = relabelled(inst, np.random.default_rng(3).permutation(inst.n))
+        x, obj = enumeration_oracle(moved)
+        _, ref = enumeration_oracle(inst)
+        assert obj == pytest.approx(ref, rel=1e-12)
+        assert moved.poly.contains(x, tol=1e-9)
+        res = solve_bnb(moved)
+        assert abs(res.incumbent_obj - obj) <= 1e-4 * abs(obj)
+
+    @pytest.mark.parametrize("column", [
+        [0.0, 0.0, 0.0],   # an arc from the sink to itself
+        [2.0, -1.0, 0.0],  # not an incidence column
+        [0.0, 1.0, -1.0],  # 1 -> 2, closing the cycle 1 -> 2 -> 1
+    ], ids=["loop", "not-incidence", "cycle"])
+    def test_grid_instance_that_is_no_acyclic_flow_rejected(self, column):
+        # nodes 0, 1, 2 and the sink 3; arcs 0 -> 1, 2 -> 1, 2 -> 3 and
+        # the column under test
+        A = np.array([[1.0, 0.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])
+        A = np.column_stack([A, column])
+        q = QuadraticForm(F=np.eye(4), sigma_factor=np.eye(4), D=np.ones(4))
+        inst = ConicInstance(c=np.zeros(4), omega=1.0, q=q,
+                             poly=Polyhedron(A, [1.0, 0.0, 0.0], np.zeros(4),
+                                             np.ones(4)),
+                             integer_vars=range(4),
+                             meta={"family": "gridpath"})
         with pytest.raises(ValueError):
             enumeration_oracle(inst)
 
@@ -332,6 +396,57 @@ class TestSolveBnb:
         assert res.uncertified_nodes == sum(
             c["status"] in (SolveStatus.ITER_LIMIT, SolveStatus.UNCERTIFIED)
             for c in counts)
+
+    def test_fractional_bound_on_an_integer_variable(self):
+        # the down child of x0 would have bounds [0.3, 0]; only the up
+        # child is made
+        inst = seeded_card(3, n=10, r=3)
+        lower = inst.poly.lower.copy()
+        lower[0] = 0.3
+        inst = rebounded(inst, lower, inst.poly.upper)
+        _, ref = enumeration_oracle(inst)
+        res = solve_bnb(inst)
+        assert res.status == BnbStatus.OPTIMAL
+        assert res.incumbent_x[0] == pytest.approx(1.0, abs=1e-9)
+        assert abs(res.incumbent_obj - ref) <= 1e-9 * abs(ref)
+
+
+class TestFailedRelaxations:
+    """A node whose relaxation raises stays open at its parent's bound."""
+
+    def test_singular_node_held_open(self, monkeypatch):
+        inst = bad_instance(seed=4565, rows="card", pins=2, extra="dependent",
+                            d_scale=0.0, costs="positive", omega=1.0,
+                            discrete=True)
+        real = conicqp.solvers.solve_qp
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(conicqp.solvers, "solve_qp", spy)
+        res = solve_bnb(inst, BnbOptions(node_limit=200))
+        assert res.status == BnbStatus.UNCERTIFIED
+        assert res.incumbent_x is not None
+        assert res.best_bound <= res.incumbent_obj
+        assert res.uncertified_nodes >= 1
+        # the failed QPs count too
+        assert res.qp_count == len(calls)
+
+    @pytest.mark.parametrize("error", [SingularKktError, LpFailureError])
+    def test_failed_root_is_uncertified_not_infeasible(self, error,
+                                                       monkeypatch):
+        def failing(*args, **kwargs):
+            raise error("stand-in failure")
+
+        monkeypatch.setattr(conicqp.bnb, "solve_cd", failing)
+        res = solve_bnb(seeded_card(2, n=8))
+        assert res.status == BnbStatus.UNCERTIFIED
+        assert res.incumbent_x is None
+        assert res.best_bound == -math.inf
+        assert res.nodes_processed == res.uncertified_nodes == 1
+        assert res.infeasible_nodes == 0
 
 
 class TestFixedPointJumps:

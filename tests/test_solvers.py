@@ -368,6 +368,29 @@ class TestQpChain:
         assert info.value.first_qp_used_phase1 is True
         assert info.value.jumps_tried == info.value.jumps_taken == 0
 
+    @pytest.mark.parametrize("error", [SingularKktError, LpFailureError])
+    @pytest.mark.parametrize("fails_at", [1, 3])
+    def test_failed_qp_error_carries_counts(self, error, fails_at,
+                                            monkeypatch):
+        real = conicqp.solvers.solve_qp
+        calls = []
+
+        def failing(*args, **kwargs):
+            if len(calls) + 1 == fails_at:
+                raise error("stand-in failure")
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(conicqp.solvers, "solve_qp", failing)
+        with pytest.raises(error) as info:
+            solve_cd(seeded(31, family="gridpath", grid=(5, 5)))
+        # the failed QP counts, without pivots; a failed first QP counts as
+        # a fallback from its start
+        assert info.value.qp_count == fails_at
+        assert info.value.pivot_count == sum(sol.iterations for sol in calls)
+        assert info.value.first_qp_used_phase1 is (
+            calls[0].used_phase1 if calls else True)
+
     @pytest.mark.parametrize("entry", ["cd-lp", "cd-t0", "cd-warm",
                                        "bisect-lp"])
     def test_counts_match_engine_calls(self, entry, monkeypatch):
