@@ -64,13 +64,28 @@ class BnbNode:
 
 @dataclass
 class BnbOptions:
-    """Tree options; ``log_stride=k`` logs a progress line every k nodes."""
+    """Tree options; ``log_stride=k`` logs a progress line every k nodes.
+
+    Refuses a NaN or infinite ``gap_tol``, a negative one, a negative
+    ``log_stride`` and a negative or NaN limit with ``ValueError``."""
 
     gap_tol: float = 1e-4
     time_limit: float | None = None
     node_limit: int | None = None
     use_warm_starts: bool = True
     log_stride: int = 0
+
+    def __post_init__(self):
+        # NaN fails every comparison here, so it is refused too; an infinite
+        # gap_tol would end every tree at once with no incumbent
+        limits = (self.time_limit, self.node_limit)
+        if not (0 <= self.gap_tol < math.inf and self.log_stride >= 0
+                and all(v is None or v >= 0 for v in limits)):
+            raise ValueError(
+                f"need 0 <= gap_tol < inf, log_stride >= 0 and limits None "
+                f"or >= 0, got gap_tol = {self.gap_tol!r}, log_stride = "
+                f"{self.log_stride!r}, time_limit = {self.time_limit!r} and "
+                f"node_limit = {self.node_limit!r}")
 
 
 # node relaxations are solved to (near) full optimality so that branching

@@ -294,12 +294,16 @@ def solve_cd(inst: ConicInstance, opt: CdOptions | None = None,
     when x'Qx collapses to (numerical) zero, in which case the current point
     is returned with status TZero.  ``jumps_tried`` and ``jumps_taken`` on
     the result count the working sets a jump was tried from and the jumps
-    made.
+    made.  ``warm = (basis, t)`` dual-starts the first QP at that t from
+    that basis, so it refuses an ``opt.t0`` with ``ValueError``.
     """
     opt = opt or CdOptions()
 
     if warm is not None:
         basis, t_i = warm
+        if opt.t0 is not None:
+            raise ValueError("give t0 or warm, not both: warm's t is the "
+                             "first t")
         if not 0 < t_i < math.inf:
             raise ValueError("warm t must be positive and finite")
         chain = _QpChain(inst, basis, mode=StartMode.DUAL_START)

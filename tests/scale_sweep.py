@@ -27,11 +27,14 @@ at a time.  The sweep passes over the instances ``REPEATS`` times (default
 3), so the repeats of an instance are spread over the run.
 
 The JSON file records per instance and driver, in run order, the wall
-time of each solve and its QPs, pivots and status.  A convex solve adds its
-objective (``repr``); a tree adds its nodes, warm accepts and repairs,
-jumps tried and taken, and the ``repr`` of its incumbent objective and best
-bound.  Each driver also gets the median wall time.  The file records once
-the setup the children ran under: the Python, NumPy and SciPy versions, the
+time of each solve and every field of its record as ``tests/outcomes.py``
+writes it: among them the QPs, pivots, status and objective (``repr``) of
+a convex solve, and the nodes, QPs, pivots, warm accepts and repairs,
+jumps, status and the ``repr`` of the incumbent objective and best bound
+of a tree.  Each driver also gets the median wall time.  The first
+repeat's records are kept again under ``inputs`` and ``records``, in that
+tool's shape, so its ``compare`` reads two sweep files.  The file records
+once the setup the children ran under: the Python, NumPy and SciPy versions, the
 OpenBLAS versions that NumPy and SciPy each ship (``show_config``), the
 thread variables of the environment and the number of CPUs the process may
 run on.  The script sets no thread count: it times the host's default,
@@ -80,20 +83,6 @@ def label(family: str, size: int, seed: int) -> str:
     return f"{family}_{shape}_s{seed}"
 
 
-def summary(drv: str, res) -> dict:
-    """What the sweep keeps of one result of driver ``drv``."""
-    if drv == "bnb":
-        return {"nodes": res.nodes_processed, "qps": res.qp_count,
-                "pivots": res.pivot_count, "warm_accepts": res.warm_accepts,
-                "warm_repairs": res.warm_repairs,
-                "jumps_tried": res.jumps_tried, "jumps_taken": res.jumps_taken,
-                "status": res.status.value,
-                "incumbent": repr(res.incumbent_obj),
-                "best_bound": repr(res.best_bound)}
-    return {"qps": len(res.qp_pivots), "pivots": sum(res.qp_pivots),
-            "objective": repr(res.objective), "status": res.status.value}
-
-
 def child(src: str, matrix: str, family: str, size: int, seed: int) -> dict:
     """Generate, save, load and solve one instance; the record of each
     driver and the process's BLAS setup."""
@@ -106,11 +95,10 @@ def child(src: str, matrix: str, family: str, size: int, seed: int) -> dict:
 
     if Path(conicqp.__file__).resolve().parent != (Path(src) / "conicqp").resolve():
         sys.exit(f"imported conicqp from {conicqp.__file__}, not from {src}")
+    from outcomes import record  # only now, so it records SRC's results
     recipe, _, drivers = MATRICES[matrix]
-    grid = family == "gridpath"
-    spec = GenSpec(family=family, n=None if grid else size,
-                   p=size if grid else None, q=size if grid else None,
-                   seed=seed, **recipe)
+    shape = {"p": size, "q": size} if family == "gridpath" else {"n": size}
+    spec = GenSpec(family=family, seed=seed, **shape, **recipe)
     solvers = {"cd": conicqp.solve_cd, "bisection": conicqp.solve_bisection,
                "bnb": conicqp.solve_bnb}
     with tempfile.TemporaryDirectory() as tmp:
@@ -120,13 +108,13 @@ def child(src: str, matrix: str, family: str, size: int, seed: int) -> dict:
         conicqp.solve_cd(load_instance(warm_up))
         path = Path(tmp) / "instance.json"
         save_instance(generate(spec), path)
-        out = {}
+        out = {"wall_s": {}}
         for drv in drivers:
             inst = load_instance(path)
             t0 = time.perf_counter()
             res = solvers[drv](inst)
-            wall = time.perf_counter() - t0
-            out[drv] = {"wall_s": wall, **summary(drv, res)}
+            out["wall_s"][drv] = time.perf_counter() - t0
+            out[drv] = record(inst, res)
     blas = {lib: mod.show_config(mode="dicts")["Build Dependencies"]["blas"]
             .get("version") for lib, mod in (("numpy", numpy), ("scipy", scipy))}
     out["setup"] = {
@@ -142,7 +130,7 @@ def child(src: str, matrix: str, family: str, size: int, seed: int) -> dict:
 def sweep(src: Path, repeats: int, matrix: str) -> dict:
     recipe, instances, drivers = MATRICES[matrix]
     rows = {label(*key): {drv: {} for drv in drivers} for key in instances}
-    setup = None
+    records, setup = {}, None
     for _ in range(repeats):
         for family, size, seed in instances:
             name = label(family, size, seed)
@@ -156,13 +144,16 @@ def sweep(src: Path, repeats: int, matrix: str) -> dict:
             if rec["setup"] != setup:
                 sys.exit(f"{name}: the BLAS setup changed during the sweep")
             for drv in drivers:
-                for key, value in rec[drv].items():
+                records.setdefault(drv, {}).setdefault(name, rec[drv])
+                for key, value in {"wall_s": rec["wall_s"][drv], **rec[drv]}.items():
                     rows[name][drv].setdefault(key, []).append(value)
     for row in rows.values():
         for rec in row.values():
             rec["wall_s_median"] = statistics.median(rec["wall_s"])
     return {"matrix": matrix, "recipe": recipe, "repeats": repeats,
-            "setup": setup, "instances": rows}
+            "setup": setup, "instances": rows,
+            "inputs": {label(*key): list(key) for key in instances},
+            "records": records}
 
 
 def main(argv: list[str]) -> int:

@@ -85,14 +85,21 @@ def bad_instance(seed, rows, pins, extra, d_scale, costs, omega,
                          integer_vars=tuple(range(n)) if discrete else ())
 
 
+# the values of each listed argument of ``bad_instance``; the fixed corpus of
+# ``tests/outcomes.py`` draws from the same lists
+CHOICES = {
+    "rows": ["card", "dense", "grid"],
+    "extra": ["none", "duplicate", "dependent"],
+    "d_scale": [1.0, 0.0, 1e-10],
+    "costs": ["random", "tied", "positive"],
+    "omega": [1.0, 1e-6, 1e6],
+}
 bad_params = st.fixed_dictionaries({
     "seed": st.integers(0, 10_000),
-    "rows": st.sampled_from(["card", "dense", "grid"]),
+    "rows": st.sampled_from(CHOICES["rows"]),
     "pins": st.integers(0, 2),
-    "extra": st.sampled_from(["none", "duplicate", "dependent"]),
-    "d_scale": st.sampled_from([1.0, 0.0, 1e-10]),
-    "costs": st.sampled_from(["random", "tied", "positive"]),
-    "omega": st.sampled_from([1.0, 1e-6, 1e6]),
+    **{name: st.sampled_from(CHOICES[name])
+       for name in ("extra", "d_scale", "costs", "omega")},
 })
 
 

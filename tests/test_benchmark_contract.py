@@ -6,7 +6,7 @@ warm, mode, ...)``) and ``bnb.solve_cd``, and reads ``QpSolution``'s
 and ``ConicSolveResult.first_qp_used_phase1``.  A rename of any of them
 would otherwise show only in a benchmark run, as per-layer figures that
 read 0 or a run that fails.  The tracer is loaded read-only from its file,
-as ``tests/same_results.py`` loads ``perfbench/workloads.py``; nothing in
+as ``tests/outcomes.py`` loads ``perfbench/workloads.py``; nothing in
 ``perfbench/`` is changed.
 """
 

@@ -84,6 +84,25 @@ class TestBranchSelect:
             branch_select(np.array([1.0, 0.0]), (0, 1))
 
 
+class TestOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("gap_tol", math.inf),  # ended every tree at once, with no point
+        ("gap_tol", math.nan),  # never stopped on the gap
+        ("gap_tol", -1e-4),
+        ("log_stride", -1),     # logged every node
+        ("time_limit", math.nan),  # was ignored
+        ("time_limit", -1.0),
+        ("node_limit", -1),
+    ])
+    def test_values_outside_the_rule_rejected(self, field, value):
+        with pytest.raises(ValueError, match="need 0 <= gap_tol < inf"):
+            BnbOptions(**{field: value})
+
+    def test_zero_limits_stay_valid(self):
+        opts = BnbOptions(gap_tol=0.0, time_limit=0.0, node_limit=0)
+        assert (opts.time_limit, opts.node_limit) == (0.0, 0)
+
+
 class TestEnumerationOracle:
     def test_unit_cardinality_formula(self):
         rng = np.random.default_rng(1)
@@ -185,6 +204,45 @@ class TestEnumerationOracle:
         res = solve_bnb(inst)
         assert res.status in (BnbStatus.OPTIMAL, BnbStatus.GAP_REACHED)
         assert abs(res.incumbent_obj - obj) <= 1e-4 * abs(obj)
+
+    def test_cardinality_with_fractional_b_has_no_binary_point(self):
+        # not a cardinality constraint, so the generic branch answers
+        inst = card_instance(5, 1.5, -np.ones(5), seeded_card(1, n=5).q)
+        with pytest.raises(InfeasibleError, match="binary point"):
+            enumeration_oracle(inst)
+
+    def test_generic_branch_honours_bounds(self):
+        # x = (0, 1, 0) meets x0 + 2 x1 + x2 = 2 and has the best cost, but
+        # x0 is held at 1
+        q = QuadraticForm(F=np.eye(3), sigma_factor=np.eye(3), D=np.ones(3))
+        inst = ConicInstance(c=np.array([0.0, -5.0, 0.0]), omega=1.0, q=q,
+                             poly=Polyhedron([[1.0, 2.0, 1.0]], [2.0],
+                                             [1.0, 0.0, 0.0], np.ones(3)),
+                             integer_vars=range(3))
+        x, _ = enumeration_oracle(inst)
+        np.testing.assert_array_equal(x, [1.0, 0.0, 1.0])
+
+    def test_grid_without_feasible_path(self):
+        inst = seeded_grid(1, p=2, q=2)
+        upper = inst.poly.upper.copy()
+        upper[inst.poly.A[np.argmax(inst.poly.b)] == 1.0] = 0.0  # the source's arcs
+        with pytest.raises(InfeasibleError, match="no feasible path"):
+            enumeration_oracle(rebounded(inst, inst.poly.lower, upper))
+
+    @pytest.mark.parametrize("make", [
+        lambda: seeded_card(1, n=40),          # C(40, 8) supports
+        lambda: seeded_grid(1, p=12, q=13),    # C(23, 11) paths
+        lambda: ConicInstance(                 # 2^21 points
+            c=np.zeros(21), omega=1.0,
+            q=QuadraticForm(F=np.ones((21, 1)), sigma_factor=np.ones((1, 1)),
+                            D=np.ones(21)),
+            poly=Polyhedron([np.arange(1.0, 22.0)], [3.0], np.zeros(21),
+                            np.ones(21)),
+            integer_vars=range(21)),
+    ], ids=["cardinality", "grid", "generic"])
+    def test_too_large_to_enumerate_rejected(self, make):
+        with pytest.raises(ValueError, match="too large"):
+            enumeration_oracle(make())
 
     def test_cardinality_without_binary_point(self):
         inst = seeded_card(1, n=10, r=3)

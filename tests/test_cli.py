@@ -282,6 +282,19 @@ class TestBnb:
         inst = write_simplex_instance(tmp_path / "s.json")
         assert main(["bnb", "--instance", str(inst)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value", [("--gap", "inf"),
+                                             ("--log-stride", "-1")])
+    def test_option_outside_the_rule_is_a_usage_error(self, tmp_path, capsys,
+                                                      flag, value):
+        # --gap inf printed objective inf, nodes 0, status GapReached and
+        # solved True, and exited 0
+        main(["gen", "--family", "cardinality", "--n", "15", "--r", "5",
+              "--alpha", "0.5", "--omega", "2", "--seed", "3", "--discrete",
+              "--out", str(tmp_path)])
+        inst = str(next(tmp_path.glob("*.json")))
+        assert main(["bnb", "--instance", inst, flag, value]) == EXIT_USAGE
+        assert "need 0 <= gap_tol < inf" in capsys.readouterr().err
+
     def test_log_stride_prints_progress_lines(self, tmp_path, capsys):
         main(["gen", "--family", "cardinality", "--n", "15", "--r", "5",
               "--alpha", "0.5", "--omega", "3", "--seed", "2", "--discrete",

@@ -111,6 +111,16 @@ class TestFamilies:
             GenSpec(family="cardinality", n=10, alpha=1.5)
         with pytest.raises(ValueError):
             GenSpec(family="unknown", n=10)
+        with pytest.raises(ValueError, match="rank"):
+            GenSpec(family="cardinality", n=10, r=0)
+        with pytest.raises(ValueError, match="omega"):
+            GenSpec(family="cardinality", n=10, omega=0.0)
+
+    def test_generator_refuses_the_other_family(self):
+        with pytest.raises(ValueError, match="not a cardinality spec"):
+            gen_cardinality(GenSpec(family="gridpath", p=3, q=3))
+        with pytest.raises(ValueError, match="not a gridpath spec"):
+            gen_grid_path(GenSpec(family="cardinality", n=10))
 
 
 class TestFileFormat:

@@ -53,6 +53,50 @@ class TestNonFiniteDataRejected:
         with pytest.raises(ValueError, match="finite"):
             simplex_instance(omega=value)
 
+    @pytest.mark.parametrize("field", ["A", "b", "lower", "upper"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_polyhedron(self, field, value):
+        data = dict(A=np.ones((1, 2)), b=np.ones(1), lower=np.zeros(2),
+                    upper=np.ones(2))
+        data[field].flat[0] = value
+        with pytest.raises(ValueError, match="finite"):
+            Polyhedron(**data)
+
+
+def _instance_of(n, poly, **kw):
+    return ConicInstance(c=np.zeros(n), omega=1.0, q=identity_form(n),
+                         poly=poly, **kw)
+
+
+class TestMalformedDataRejected:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: QuadraticForm(F=np.ones(3), sigma_factor=np.eye(1),
+                               D=np.ones(3)), "2-d"),
+        (lambda: QuadraticForm(F=np.ones((3, 2)), sigma_factor=np.eye(3),
+                               D=np.ones(3)), "sigma_factor must be"),
+        (lambda: QuadraticForm(F=np.ones((3, 2)), sigma_factor=np.eye(2),
+                               D=np.ones(2)), "D must have length"),
+        (lambda: QuadraticForm(F=np.ones((3, 2)), sigma_factor=np.eye(2),
+                               D=[1.0, -1.0, 1.0]), "nonnegative"),
+        (lambda: identity_form(2).quad(np.ones(3)), "x must have length"),
+        (lambda: Polyhedron([[1.0, 1.0]], [1.0, 2.0], [0, 0], [1, 1]),
+         "b must have length"),
+        (lambda: Polyhedron([[1.0, 1.0]], [1.0], [0], [1, 1]),
+         "bound vectors"),
+        (lambda: simplex_instance(omega=0.0), "omega must be positive"),
+        (lambda: simplex_instance(c=(0.0, 0.0, 0.0)), "c must have length"),
+        (lambda: _instance_of(3, simplex_instance().poly), "disagree"),
+        (lambda: _instance_of(2, simplex_instance().poly, integer_vars=(2,)),
+         "out of range"),
+        (lambda: dual_bound_estimate(simplex_instance(), np.array([0.5, 0.5]),
+                                     0.0, 1.0, 0.0), "t_prev must be positive"),
+    ], ids=["F-not-2d", "sigma-shape", "D-length", "D-negative", "quad-length",
+            "b-length", "bounds-length", "omega-zero", "c-length",
+            "size-mismatch", "integer-vars-range", "t-prev-zero"])
+    def test_shapes_and_signs(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestPolyhedron:
     def test_sparse_matrix_becomes_dense(self):

@@ -10,8 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["bad_input_corpus", "same_results",
-                                  "ab_timing"])
+@pytest.mark.parametrize("name", ["outcomes", "ab_timing"])
 def test_usage_without_arguments(name, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "tests" / f"{name}.py")],

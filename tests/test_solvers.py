@@ -131,6 +131,22 @@ class TestCoordinateDescent:
         with pytest.raises(ValueError, match="warm basis holds a status"):
             solve_cd(inst, opts, warm=(WorkingBasis(status), ref.t))
 
+    def test_t0_and_warm_together_rejected(self):
+        # warm's t starts the run; t0 was dropped without a word, and the
+        # first QP ran at warm's t = 2.1686, not at 123
+        inst = gen_cardinality(GenSpec(family="cardinality", n=50, r=5,
+                                       alpha=0.5, omega=2.0, seed=3))
+        r0 = solve_cd(inst)
+        with pytest.raises(ValueError, match="t0 or warm"):
+            solve_cd(inst, CdOptions(t0=123.0), warm=(r0.basis, r0.t))
+
+    def test_outer_loop_cap_ends_iter_limit(self, monkeypatch):
+        # the default run takes 4 QPs
+        monkeypatch.setattr(conicqp.solvers, "CD_MAX_OUTER", 1)
+        res = solve_cd(seeded(1))
+        assert res.status == SolveStatus.ITER_LIMIT
+        assert res.stop_reason == "iter_limit" and res.qp_count == 1
+
     def test_symmetric_simplex(self):
         res = solve_cd(simplex_instance(), CdOptions(t0=1.0))
         np.testing.assert_allclose(res.x, [0.5, 0.5], atol=1e-8)
@@ -278,6 +294,18 @@ class TestBisection:
             inst = seeded(seed, family="gridpath", grid=(5, 5), omega=2.0)
             res = solve_bisection(inst)
             assert res.kkt is not None and res.kkt.residual_inf <= 1e-5
+
+    def test_midpoint_in_the_t_zero_regime(self):
+        # omega = 1e6 pushes the first midpoint's QP to x'Qx = 6e-14
+        q = QuadraticForm(F=np.zeros((2, 1)), sigma_factor=np.ones((1, 1)),
+                          D=[0.0, 1.0])
+        poly = Polyhedron(A=[[1.0, 1.0]], b=[1.0], lower=[0, 0], upper=[1, 1])
+        inst = ConicInstance(c=np.array([-1.0, -1.5]), omega=1e6, q=q,
+                             poly=poly)
+        res = solve_bisection(inst)
+        assert res.status == SolveStatus.T_ZERO
+        assert res.stop_reason == "t_zero" and res.qp_count == 1
+        assert res.kkt is None
 
     def test_no_gap_claimed_without_a_lower_bound(self):
         # the run stops while t_min is still 0, so no lower bound exists;
